@@ -19,6 +19,8 @@
 #                            checkpoint/migration unit suites, a seeded loadtest
 #                            smoke via the CLI, the migration round-trip
 #                            scenario, and the committed-figure freshness check
+#   make check-hash-order -- run the table2/detection/apps experiment smokes
+#                            under two PYTHONHASHSEED values; the JSON must match
 #   make figures          -- re-render benchmarks/figures/ from the committed
 #                            benchmark results
 #   make experiments-smoke -- every registered experiment at its smallest spec,
@@ -40,13 +42,13 @@ BENCHES := $(filter-out benchmarks/bench_diff.py,$(wildcard benchmarks/bench_*.p
 EXAMPLES := $(wildcard examples/*.py)
 
 .PHONY: test check check-parallel check-procs check-bench check-keyed \
-	check-corpus check-apps check-load experiments-smoke bench bench-smoke \
+	check-corpus check-apps check-load check-hash-order experiments-smoke bench bench-smoke \
 	bench-procpool-smoke bench-diff figures examples
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-check: test experiments-smoke check-keyed check-corpus check-apps check-load check-bench
+check: test experiments-smoke check-keyed check-corpus check-apps check-load check-hash-order check-bench
 	$(PYTHON) -m repro run examples/scenarios/detection_matrix.json > /dev/null
 	$(PYTHON) -m repro run examples/scenarios/throughput.json > /dev/null
 	$(PYTHON) -m repro run examples/scenarios/campaign.json --parallelism 8 > /dev/null
@@ -126,6 +128,13 @@ check-load:
 	$(PYTHON) -m repro run examples/scenarios/loadtest.json > /dev/null
 	$(PYTHON) benchmarks/render_figures.py --check
 	@echo "check-load ok: load suites + loadtest smoke + migration scenario + figures"
+
+# The hash-order guard: syscalls hash by identity and strings by a salted
+# hash, so set iteration order differs between processes; experiment output
+# must not.  The slow-marked suite compares smoke JSON across two hash seeds.
+check-hash-order:
+	$(PYTHON) -m pytest -q -m slow tests/test_hash_order.py
+	@echo "check-hash-order ok: experiment output is independent of hash order"
 
 figures:
 	$(PYTHON) benchmarks/render_figures.py

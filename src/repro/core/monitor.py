@@ -22,12 +22,13 @@ the system, which is the paper's behaviour).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+import functools
+from typing import NamedTuple, Optional, Sequence
 
 from repro.core.alarm import Alarm, AlarmType
 from repro.interpose import CLASSIC_TABLE, InterpositionTable
 from repro.kernel.errors import VariantFault
-from repro.kernel.syscalls import Syscall, SyscallRequest
+from repro.kernel.syscalls import Syscall, SyscallPlans, SyscallRequest
 
 # Re-exported for backwards compatibility: the classification families now
 # live on the interposition table, and these module names are views of the
@@ -212,23 +213,29 @@ class Monitor:
             )
         )
 
-    def report_output_mismatch(
-        self,
-        syscall: Syscall,
-        variant_values: tuple,
-        *,
-        lockstep_index: int | None = None,
-    ) -> Alarm:
-        """Record divergent output data noticed by the wrapper layer."""
-        return self._record(
-            Alarm(
-                alarm_type=AlarmType.OUTPUT_MISMATCH,
-                description="variants attempted to emit different output data",
-                syscall=syscall.value,
-                variant_values=variant_values,
-                lockstep_index=lockstep_index,
-            )
-        )
+
+class _RoundPlan(NamedTuple):
+    """What the comparator does with a round of one syscall."""
+
+    #: No variation canonicalizes the call: equal raw requests are equivalent.
+    fast_path: bool
+    #: No variation rewrites the call on its way to the kernel.
+    skip_transform: bool
+    #: The call is a detection call (Table 2), counted when checked.
+    detection: bool
+
+
+def _round_plan(
+    canonical: Optional[frozenset[Syscall]],
+    transform: Optional[frozenset[Syscall]],
+    detection: frozenset[Syscall],
+    name: Syscall,
+) -> _RoundPlan:
+    return _RoundPlan(
+        fast_path=canonical is not None and name not in canonical,
+        skip_transform=transform is not None and name not in transform,
+        detection=name in detection,
+    )
 
 
 class SyscallComparator:
@@ -242,13 +249,17 @@ class SyscallComparator:
     comparisons, and ``uid_value``), while the bulk of a web workload is
     reads, writes, opens and socket calls that no variation rewrites.
 
-    The comparator precomputes the union of the variations' declared rewrite
+    The comparator reads the stack-wide unions of the variations' declared
     footprints (:attr:`~repro.core.variations.base.Variation.canonical_syscalls`
-    and :attr:`~repro.core.variations.base.Variation.transform_syscalls`) so
-    those common rounds skip the per-variation hook walk entirely and fall
-    into one batched tuple comparison.  A variation that cannot declare its
-    footprint (``None``) disables the corresponding fast path, so correctness
-    never depends on the declaration being present -- only speed does.
+    and :attr:`~repro.core.variations.base.Variation.transform_syscalls`) into
+    one plan per syscall, filled on the round that first issues it, so each
+    round costs one lookup: calls outside the canonicalization footprint skip
+    the hook walk and fall into one batched tuple comparison, and calls
+    outside the transformation footprint skip the request rewrite.  The
+    third footprint, :attr:`~repro.core.variations.base.Variation.result_syscalls`,
+    is the session's to apply.  A variation that cannot declare a footprint
+    (``None``) disables the corresponding skip, so correctness never depends
+    on the declaration being present -- only speed does.
     """
 
     def __init__(
@@ -260,9 +271,14 @@ class SyscallComparator:
         self.variations = variations
         self.monitor = monitor
         self.table = table if table is not None else monitor.table
-        self._detection = self.table.detection_syscalls
-        self._canonical_affected = variations.canonical_syscalls()
-        self._transform_affected = variations.transform_syscalls()
+        self._plans: SyscallPlans[_RoundPlan] = SyscallPlans(
+            functools.partial(
+                _round_plan,
+                variations.canonical_syscalls(),
+                variations.transform_syscalls(),
+                self.table.detection_syscalls,
+            )
+        )
 
     def check_round(
         self,
@@ -277,21 +293,23 @@ class SyscallComparator:
         canonicalization walk for syscalls no variation rewrites.
         """
         first = requests[0]
-        affected = self._canonical_affected
-        if affected is not None and first.name not in affected:
-            name_uniform = all(r.name is first.name for r in requests[1:])
-            if name_uniform:
-                args = first.args
-                if all(r.args == args for r in requests[1:]):
-                    stats = self.monitor.stats
-                    stats.lockstep_points += 1
-                    stats.syscalls_compared += len(requests)
-                    stats.fast_path_rounds += 1
-                    if first.name in self._detection:
-                        stats.detection_calls_checked += 1
-                    return None
-            # A divergence (or mixed names): fall through to the slow path so
-            # the alarm carries the same classification and rendering as ever.
+        name = first.name
+        plan = self._plans[name]
+        if plan.fast_path:
+            args = first.args
+            for other in requests[1:]:
+                if other.name is not name or other.args != args:
+                    # A divergence (or mixed names): take the slow path so the
+                    # alarm carries the same classification and rendering.
+                    break
+            else:
+                stats = self.monitor.stats
+                stats.lockstep_points += 1
+                stats.syscalls_compared += len(requests)
+                stats.fast_path_rounds += 1
+                if plan.detection:
+                    stats.detection_calls_checked += 1
+                return None
         canonical = [
             self.variations.canonicalize_request(index, request)
             for index, request in enumerate(requests)
@@ -305,8 +323,8 @@ class SyscallComparator:
         mixed-name round executed under ``halt_on_alarm=False`` must still
         decode the UID-carrying calls of the variants that issued them.
         """
-        affected = self._transform_affected
-        if affected is not None and all(r.name not in affected for r in requests):
+        plans = self._plans
+        if all(plans[request.name].skip_transform for request in requests):
             return list(requests)
         return [
             self.variations.transform_request(index, request)

@@ -49,9 +49,10 @@ class AddressPartitioning(Variation):
     reference = "Cox et al., USENIX Security 2006 [16]"
 
     #: Partitioning diversifies the address *spaces*, not any syscall
-    #: arguments, so no request is ever rewritten or canonicalized.
+    #: arguments or results, so no syscall hook ever rewrites anything.
     canonical_syscalls = frozenset()
     transform_syscalls = frozenset()
+    result_syscalls = frozenset()
 
     def __init__(
         self, num_variants: int = 2, *, scheme: Optional[PartitionScheme] = None

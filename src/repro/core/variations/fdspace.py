@@ -57,6 +57,7 @@ class FdOrbitVariation(Variation):
     #: takes the comparator's batched fast path.
     canonical_syscalls = FD_ARGUMENT_SYSCALLS
     transform_syscalls = FD_ARGUMENT_SYSCALLS
+    result_syscalls = FD_RESULT_SYSCALLS
 
     def __init__(self, num_variants: int = 2, *, scheme: "FdOrbitScheme | None" = None):
         if scheme is None:

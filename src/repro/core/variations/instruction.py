@@ -30,6 +30,7 @@ class InstructionSetTagging(Variation):
     #: Tagging rewrites code images, not system calls.
     canonical_syscalls = frozenset()
     transform_syscalls = frozenset()
+    result_syscalls = frozenset()
 
     def __init__(self) -> None:
         self.num_variants = 2

@@ -67,6 +67,7 @@ class UIDVariation(Variation):
     #: engine's batched-comparison fast path.
     transform_syscalls = frozenset(UID_PARAMETER_SYSCALLS) | UID_COMPARISON_SYSCALLS
     canonical_syscalls = transform_syscalls | {Syscall.UID_VALUE}
+    result_syscalls = UID_RESULT_SYSCALLS
 
     def __init__(self, mask: int = UID_MASK_31, *, num_variants: int = 2):
         if num_variants != 2:

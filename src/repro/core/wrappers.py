@@ -25,22 +25,20 @@ handled.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+import functools
+from typing import Callable, Sequence
 
 from repro.interpose import CLASSIC_TABLE, InterpositionTable, PolicyKind
 from repro.kernel.errors import Errno
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.process import Process
-from repro.kernel.syscalls import Syscall, SyscallRequest, SyscallResult
+from repro.kernel.syscalls import Syscall, SyscallPlans, SyscallRequest, SyscallResult
 
 # Backwards-compatible views of the classic interposition table's derived
 # sets (identical to the historical frozen constants by construction); the
 # wrapper itself dispatches on its *active* table, not on these.
 FD_SYSCALLS = CLASSIC_TABLE.fd_syscalls
 DESCRIPTOR_CREATING_SYSCALLS = CLASSIC_TABLE.descriptor_creating_syscalls
-REPLICATED_SYSCALLS = frozenset(
-    {Syscall.TIME, Syscall.GETRANDOM, Syscall.GETDENTS, Syscall.GETPID}
-)
 
 
 class UnsharedFileRegistry:
@@ -102,7 +100,8 @@ class SyscallWrappers:
     before the kernel is entered, descriptor-creating and fd-carrying calls
     go through the shared/unshared descriptor machinery, replicated calls
     run once on behalf of all variants, and everything else fans out per
-    variant.
+    variant.  Each syscall's strategy is resolved from its table entry on
+    the first round that issues it and cached, so a round costs one lookup.
     """
 
     def __init__(
@@ -118,6 +117,9 @@ class SyscallWrappers:
         self.table = table if table is not None else CLASSIC_TABLE
         self.stats = WrapperStats()
         self._unshared_fds: set[int] = set()
+        self._strategies: SyscallPlans[_Strategy] = SyscallPlans(
+            functools.partial(_resolve_strategy, self.table)
+        )
 
     # -- public API -----------------------------------------------------------
 
@@ -126,20 +128,7 @@ class SyscallWrappers:
         if len(requests) != len(self.processes):
             raise ValueError("one request per variant is required")
         self.stats.checks += 1
-        name = requests[0].name
-        entry = self.table.entry(name)
-
-        if entry.policy is PolicyKind.DENY:
-            return self._execute_deny(requests)
-        if name is Syscall.OPEN:
-            return self._execute_open(requests)
-        if entry.creates_fd:
-            return self._execute_descriptor_creating(requests)
-        if entry.fd_arg:
-            return self._execute_fd_call(requests)
-        if entry.policy is PolicyKind.REPLICATE:
-            return self._execute_once(requests)
-        return self._execute_per_variant(requests)
+        return self._strategies[requests[0].name](self, requests)
 
     def is_unshared_fd(self, fd: int) -> bool:
         """True when descriptor *fd* currently refers to an unshared file."""
@@ -239,3 +228,24 @@ class SyscallWrappers:
                 if fd in process.fds:
                     process.fds.close(fd)
         return [result for _ in self.processes]
+
+
+#: A strategy is an unbound :class:`SyscallWrappers` method, so the cached
+#: plans hold no reference back to the wrapper that owns them.
+_Strategy = Callable[[SyscallWrappers, Sequence[SyscallRequest]], list[SyscallResult]]
+
+
+def _resolve_strategy(table: InterpositionTable, name: Syscall) -> _Strategy:
+    """How *table* executes a round of *name*."""
+    entry = table.entry(name)
+    if entry.policy is PolicyKind.DENY:
+        return SyscallWrappers._execute_deny
+    if name is Syscall.OPEN:
+        return SyscallWrappers._execute_open
+    if entry.creates_fd:
+        return SyscallWrappers._execute_descriptor_creating
+    if entry.fd_arg:
+        return SyscallWrappers._execute_fd_call
+    if entry.policy is PolicyKind.REPLICATE:
+        return SyscallWrappers._execute_once
+    return SyscallWrappers._execute_per_variant

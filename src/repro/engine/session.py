@@ -10,11 +10,24 @@ cooperative scheduler interleaves, and running ``step()`` in a loop until the
 session leaves ``RUNNING`` reproduces the original single-session semantics
 exactly.
 
-The hot path of a round -- canonicalize every variant's request and compare --
-goes through :class:`~repro.core.monitor.SyscallComparator`, which precomputes
-which system calls each variation actually rewrites so the overwhelming
-majority of rounds (read/write/open/accept/...) skip the per-variation
-canonicalization walk entirely and fall into a batched tuple comparison.
+A round has three variation stages, and each variation declares the
+system calls each stage may rewrite (its three *footprints*, see
+:class:`~repro.core.variations.base.Variation`):
+
+* canonicalize every variant's request and compare them,
+  through :class:`~repro.core.monitor.SyscallComparator`;
+* rewrite the requests on their way to the kernel, also through the
+  comparator, before :class:`~repro.core.wrappers.SyscallWrappers` executes
+  the round;
+* rewrite each variant's result on its way back, which the session does
+  itself.
+
+Every layer looks the round's syscall up once in a per-syscall plan filled
+on first use.  A stage whose stack-wide footprint misses the syscall is
+skipped outright -- the overwhelming majority of rounds
+(read/write/send/recv/...) fall into one batched tuple comparison and hand
+the kernel's results straight back -- and a stage that does run calls only
+the variations whose own footprint covers the syscall.
 """
 
 from __future__ import annotations
@@ -98,6 +111,7 @@ class NVariantSession:
         self.table = get_table(interposition)
         self.monitor = Monitor(table=self.table)
         self.comparator = SyscallComparator(self.variations, self.monitor)
+        self._result_syscalls = self.variations.result_syscalls()
         self.rounds = 0
         self.state = SessionState.RUNNING
         self._ticks_consumed = 0
@@ -233,8 +247,19 @@ class NVariantSession:
         runtimes = self._runtimes
         self._advance_all(runtimes)
 
-        active = [r for r in runtimes if not r.finished]
-        faulted = [r for r in runtimes if r.fault is not None]
+        requests = []
+        faulted = []
+        finished = 0
+        waiting = False
+        for runtime in runtimes:
+            if runtime.finished:
+                finished += 1
+            if runtime.fault is not None:
+                faulted.append(runtime)
+            request = runtime.pending_request
+            if request is None:
+                waiting = True
+            requests.append(request)
 
         if faulted:
             for runtime in faulted:
@@ -247,11 +272,11 @@ class NVariantSession:
             for runtime in faulted:
                 runtime.fault = None  # keep going without re-reporting
 
-        if not active:
+        if finished == len(runtimes):
             self.state = SessionState.COMPLETED
             return self.state
 
-        if len(active) != len(runtimes):
+        if finished:
             finished_indices = tuple(r.context.index for r in runtimes if r.finished)
             self.monitor.report_lifecycle_divergence(
                 "some variants terminated while others kept running",
@@ -264,8 +289,7 @@ class NVariantSession:
             self.state = SessionState.COMPLETED
             return self.state
 
-        requests = [r.pending_request for r in runtimes]
-        if any(request is None for request in requests):
+        if waiting:
             return self.state
 
         alarm = self.comparator.check_round(requests, lockstep_index=self.rounds)
@@ -274,10 +298,13 @@ class NVariantSession:
 
         transformed = self.comparator.transform_round(requests)
         raw_results = self.wrappers.execute_round(transformed)
-        for runtime, request, raw in zip(runtimes, requests, raw_results):
-            runtime.pending_result = self.variations.transform_result(
-                runtime.context.index, request, raw
-            )
+        result_syscalls = self._result_syscalls
+        for runtime, request, result in zip(runtimes, requests, raw_results):
+            if result_syscalls is None or request.name in result_syscalls:
+                result = self.variations.transform_result(
+                    runtime.context.index, request, result
+                )
+            runtime.pending_result = result
             runtime.pending_request = None
             if request.name is Syscall.EXIT or not runtime.context.process.alive:
                 runtime.finished = True

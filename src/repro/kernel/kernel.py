@@ -51,7 +51,8 @@ class KernelStats:
     def record(self, name: Syscall) -> None:
         """Count one executed system call."""
         self.syscall_count += 1
-        self.syscall_breakdown[name.value] = self.syscall_breakdown.get(name.value, 0) + 1
+        key = name.value
+        self.syscall_breakdown[key] = self.syscall_breakdown.get(key, 0) + 1
 
 
 class SimulatedKernel:

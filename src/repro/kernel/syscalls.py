@@ -28,13 +28,24 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from repro.kernel.errors import Errno
 
+_Plan = TypeVar("_Plan")
+
 
 class Syscall(enum.Enum):
-    """Names of the system calls understood by the simulated kernel."""
+    """Names of the system calls understood by the simulated kernel.
+
+    Members are singletons compared by identity, so they hash by identity
+    too: ``Enum``'s default ``__hash__`` is a Python-level function, and
+    every lockstep round looks syscalls up in several sets and dicts.
+    Identity hashes differ between processes, so code that iterates a set
+    of syscalls must not let that order reach its output (sort first).
+    """
+
+    __hash__ = object.__hash__
 
     # -- process control ---------------------------------------------------
     EXIT = "exit"
@@ -248,6 +259,28 @@ PATH_SYSCALLS = frozenset(
         Syscall.GETDENTS,
     }
 )
+
+
+class SyscallPlans(dict[Syscall, _Plan]):
+    """Per-syscall work, built by ``build(name)`` on the first lookup of *name*.
+
+    The lockstep hot path looks a round's syscall up once and gets back
+    everything the layer needs for it.  Plans are filled lazily because a
+    session only ever issues a handful of the kernel's syscalls, and
+    sessions are built far more often than any one syscall is planned.
+    *build* should not close over the owner of the plans (pass the data
+    it needs instead), so the owner stays free of reference cycles.
+    """
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable[[Syscall], _Plan]):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, name: Syscall) -> _Plan:
+        plan = self[name] = self._build(name)
+        return plan
 
 
 def request(name: Syscall, *args: Any) -> SyscallRequest:
