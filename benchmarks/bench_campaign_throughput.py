@@ -63,7 +63,6 @@ def test_campaign_throughput_scaling(benchmark):
     for parallelism, report in results.items():
         # Parity: identical outcomes, identical order, at every worker count.
         assert report.outcomes == serial.outcomes, parallelism
-        assert report.execution.max_wait_turns == 0
         assert len(report.execution.jobs) == len(SPECS) * 9  # 7 UID + 2 address attacks
 
     # The N=3 orbit ran through the full campaign path and held the guarantee.

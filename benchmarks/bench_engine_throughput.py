@@ -85,13 +85,13 @@ def test_engine_throughput_scaling(benchmark):
 
     # Non-interference: each of the 8 interleaved sessions costs exactly what
     # the lone session cost (identical shards, deterministic simulation).
-    baseline_elapsed = results[1].engine_result.sessions[0].virtual_elapsed
-    for entry in results[8].engine_result.sessions:
+    baseline_elapsed = results[1].engine_result.jobs[0].virtual_elapsed
+    for entry in results[8].engine_result.jobs:
         assert entry.virtual_elapsed == baseline_elapsed, (
             entry.name, entry.virtual_elapsed, baseline_elapsed
         )
     # Scheduler efficiency: one turn per round of the longest session.
-    longest = max(s.rounds for s in results[8].engine_result.sessions)
+    longest = max(s.rounds for s in results[8].engine_result.jobs)
     assert results[8].engine_result.scheduler_turns <= longest + 1
 
     baseline = results[1].requests_per_kilotick()

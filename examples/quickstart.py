@@ -15,7 +15,7 @@ configuration, serves a benign request, and then shows a real UID-corruption
 attack (a header overflow) being detected.
 """
 
-from repro import UID_DIVERSITY_SPEC, build_system
+from repro import UID_DIVERSITY_SPEC, build_session
 from repro.apps.clients.webbench import WebBenchWorkload, drive_nvariant
 from repro.apps.httpd.server import make_httpd_factory
 from repro.attacks.payloads import benign_request, uid_overwrite_payload
@@ -102,13 +102,12 @@ def step3_mini_apache() -> None:
     kernel = build_standard_host()
     kernel.client_connect(HTTP_PORT, benign_request())
     kernel.client_connect(HTTP_PORT, uid_overwrite_payload(0), client="attacker")
-    system = build_system(
+    attack_result = build_session(
         UID_DIVERSITY_SPEC,
         kernel,
         make_httpd_factory(transformed=True, max_requests=2),
         name="httpd",
-    )
-    attack_result = system.run()
+    ).run()
     print(f"attack request : detected = {attack_result.attack_detected}")
     print(f"                 {attack_result.first_alarm().describe()}")
 

@@ -31,7 +31,7 @@ from repro.api.spec import SystemSpec, UID_DIVERSITY_SPEC, VariationSpec
 from repro.apps.clients.webbench import WebBenchWorkload, drive_nvariant_many
 from repro.core.reexpression import sample_domain
 from repro.core.variations.uid import FullFlipUIDVariation, UIDVariation
-from repro.engine import run_sessions
+from repro.engine import MultiSessionEngine
 from repro.kernel.host import build_standard_host
 
 
@@ -156,8 +156,7 @@ def run_detection_latency(user_space_uses: int = 5) -> DetectionLatencyResult:
         )
         for use_detection_calls in (True, False)
     ]
-    engine_result = run_sessions(sessions, name="ablation1")
-    with_calls, without_calls = (entry.result for entry in engine_result.sessions)
+    with_calls, without_calls = MultiSessionEngine(sessions, name="ablation1").run().values()
     return DetectionLatencyResult(
         with_detection_calls=_latency_from_result(with_calls),
         without_detection_calls=_latency_from_result(without_calls),

@@ -18,7 +18,7 @@ import dataclasses
 from repro.api.builders import build_session
 from repro.api.experiments import ExperimentReport, ReportTable
 from repro.api.spec import UID_DIVERSITY_SPEC
-from repro.engine import run_sessions
+from repro.engine import MultiSessionEngine
 from repro.core.alarm import AlarmType
 from repro.core.detection_calls import TABLE2_DETECTION_CALLS, DetectionCallSpec
 from repro.core.nvariant import VariantContext
@@ -131,13 +131,11 @@ def run() -> Table2Result:
                     name=f"table2-{spec.syscall.value}-{'attack' if injected else 'benign'}",
                 )
             )
-    engine_result = run_sessions(sessions, name="table2")
-
+    results = iter(MultiSessionEngine(sessions, name="table2").run().values())
     checks = []
-    results = iter(engine_result.sessions)
     for spec in TABLE2_DETECTION_CALLS:
-        benign = next(results).result
-        attack = next(results).result
+        benign = next(results)
+        attack = next(results)
         alarm_type = ""
         if attack.alarms:
             alarm_type = attack.first_alarm().alarm_type.value

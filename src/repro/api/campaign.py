@@ -7,8 +7,8 @@ there is a single cross product left to run: :func:`run_campaign` takes any
 mix of attacks from the library and any list of system specs, expands each
 pair into a prepared cell -- a private kernel plus a resumable
 :class:`~repro.engine.session.NVariantSession` -- and hands the whole batch to
-the engine's :class:`~repro.engine.campaign.CampaignScheduler`.  That
-scheduler is the only execution path: ``parallelism=1`` runs the cells
+the engine's :func:`~repro.engine.scheduler.run_jobs`.  That engine loop
+is the only execution path: ``parallelism=1`` runs the cells
 back-to-back in submission order (the historical serial campaign), larger
 values interleave up to that many cells round-robin with batched lockstep
 rounds, and because every cell owns its own simulated host the per-cell
@@ -28,12 +28,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.api.spec import STANDARD_SYSTEM_SPECS, SystemSpec
-from repro.engine.campaign import (
-    CampaignExecutionResult,
-    CampaignHaltPolicy,
-    CampaignJob,
-    run_jobs,
-)
+from repro.engine.scheduler import CampaignExecutionResult, CampaignJob, HaltPolicy, run_jobs
 from repro.engine.procpool import ProcessJob, ProcessWorkerPool, run_process_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids the import cycle
@@ -234,7 +229,7 @@ def run_campaign(
     *,
     parallelism: int = 1,
     rounds_per_turn: int = 8,
-    halt: Union[CampaignHaltPolicy, str] = CampaignHaltPolicy.PER_CELL,
+    halt: Union[HaltPolicy, str] = HaltPolicy.PER_SESSION,
     backend: str = "virtual",
     workers: Optional[int] = None,
     pool: Optional[ProcessWorkerPool] = None,
@@ -252,8 +247,8 @@ def run_campaign(
     completion order:
 
     * ``backend="virtual"`` (the default): every cell runs as a resumable
-      session interleaved by the in-process
-      :class:`~repro.engine.campaign.CampaignScheduler`, with concurrency
+      session interleaved by the in-process engine
+      (:func:`~repro.engine.scheduler.run_jobs`), with concurrency
       accounted in kernel ticks.  ``rounds_per_turn`` batches that many
       lockstep rounds per scheduling turn.
     * ``backend="process"``: cells are serialized as scenario payloads and
@@ -267,7 +262,7 @@ def run_campaign(
     serial order every other count reproduces cell-for-cell, since cells
     share no state).  ``halt`` chooses what one cell's halt means for the
     rest of the campaign
-    (:class:`~repro.engine.campaign.CampaignHaltPolicy`).
+    (:class:`~repro.engine.scheduler.HaltPolicy`).
 
     ``seed`` pins every seedable (keyed) variation in every spec to a seed
     derived from it (:func:`~repro.api.seeding.seeded_spec`).  The rewrite
@@ -284,7 +279,7 @@ def run_campaign(
 
         specs = [seeded_spec(spec, seed) for spec in specs]
     selected = list(attacks) if attacks is not None else standard_attacks()
-    halt_policy = halt if isinstance(halt, CampaignHaltPolicy) else CampaignHaltPolicy(halt)
+    halt_policy = HaltPolicy(halt)
     effective_workers = workers if workers is not None else parallelism
     if effective_workers < 1:
         raise ValueError(f"workers must be >= 1, got {effective_workers}")

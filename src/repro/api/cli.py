@@ -70,7 +70,7 @@ from repro.api.spec import (
     SystemSpec,
     uid_orbit_spec,
 )
-from repro.engine.campaign import CampaignHaltPolicy
+from repro.engine.scheduler import HaltPolicy
 from repro.engine.procpool import WorkerError
 
 #: Output formats the campaign/throughput scenario kinds support.
@@ -262,14 +262,11 @@ def _run_campaign_scenario(
     attacks = _resolve_attacks(data, _resolve_app(data))
     with_execution = kind == "campaign"
     rounds_per_turn = _resolve_positive_int(data, "rounds_per_turn", 8)
-    halt = data.get("halt", CampaignHaltPolicy.PER_CELL.value)
+    halt = data.get("halt", "per-cell")
     try:
-        halt_policy = CampaignHaltPolicy(halt)
+        halt_policy = HaltPolicy(halt)
     except ValueError:
-        raise ScenarioError(
-            f"halt must be one of {', '.join(p.value for p in CampaignHaltPolicy)}, "
-            f"got {halt!r}"
-        ) from None
+        raise ScenarioError(f"halt must be one of per-cell, halt-campaign, got {halt!r}") from None
     backend = _resolve_backend(data) if with_execution else "virtual"
     workers = (
         _resolve_positive_int(data, "workers", 0) if data.get("workers") is not None else None
@@ -310,7 +307,6 @@ def _run_campaign_scenario(
                 "virtual_elapsed": execution.virtual_elapsed,
                 "virtual_elapsed_sequential": execution.virtual_elapsed_sequential,
                 "speedup": _finite_or_none(execution.speedup()),
-                "max_wait_turns": execution.max_wait_turns,
                 "steals": execution.steals,
             }
         return 0, json.dumps(payload, indent=2)

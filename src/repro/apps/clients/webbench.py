@@ -30,7 +30,7 @@ from repro.api.spec import FleetSpec, SystemSpec
 from repro.apps.httpd.http import format_request, split_responses
 from repro.apps.httpd.server import MiniHttpd, make_httpd_factory
 from repro.core.nvariant import NVariantResult, UIDCodec
-from repro.engine import EngineResult, NVariantSession, run_sessions
+from repro.engine import CampaignExecutionResult, MultiSessionEngine, NVariantSession
 from repro.kernel.host import DOCROOT, HTTP_PORT, build_standard_host
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.libc import Libc
@@ -341,10 +341,10 @@ def drive_nvariant_many(
         )
         kernels.append(kernel)
         sessions.append(session)
-    engine_result = run_sessions(sessions, name="nvariant-many")
+    results = MultiSessionEngine(sessions, name="nvariant-many").run().values()
     return [
-        (_nvariant_measurement(kernel, workload, spec, entry.result), entry.result)
-        for (workload, spec), kernel, entry in zip(jobs, kernels, engine_result.sessions)
+        (_nvariant_measurement(kernel, workload, spec, result), result)
+        for (workload, spec), kernel, result in zip(jobs, kernels, results)
     ]
 
 
@@ -371,7 +371,7 @@ class EngineWorkloadMeasurement:
     alarms: int
     virtual_elapsed: int
     virtual_elapsed_sequential: int
-    engine_result: EngineResult
+    engine_result: CampaignExecutionResult
 
     @property
     def completed_ok(self) -> bool:

@@ -29,7 +29,6 @@ from repro.core.detection_calls import (
 from repro.core.monitor import Monitor, MonitorStats
 from repro.core.nvariant import (
     NVariantResult,
-    NVariantSystem,
     UIDCodec,
     VariantContext,
     VariantOutcome,
@@ -94,7 +93,6 @@ __all__ = [
     "Monitor",
     "MonitorStats",
     "NVariantResult",
-    "NVariantSystem",
     "PipelineRun",
     "PipelineVariant",
     "PropertyReport",

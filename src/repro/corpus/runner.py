@@ -21,7 +21,7 @@ from repro.attacks.outcomes import AttackOutcome, PreparedAttack
 from repro.attacks.payloads import uid_overwrite_payload
 from repro.attacks.uid_attacks import UIDAttack, prepare_uid_attack
 from repro.corpus.records import CorpusError, CorpusRecord
-from repro.engine.campaign import CampaignHaltPolicy, CampaignJob, run_jobs
+from repro.engine.scheduler import CampaignJob, run_jobs
 from repro.engine.procpool import ProcessJob, ProcessWorkerPool, run_process_jobs
 from repro.memory.corruption import CorruptionSpec
 
@@ -129,7 +129,6 @@ def run_corpus_records(
         execution = run_process_jobs(
             jobs,
             workers=workers,
-            halt_policy=CampaignHaltPolicy.PER_CELL,
             rounds_per_turn=rounds_per_turn,
             pool=pool,
         )
@@ -150,7 +149,6 @@ def run_corpus_records(
             jobs,
             parallelism=workers,
             rounds_per_turn=rounds_per_turn,
-            halt_policy=CampaignHaltPolicy.PER_CELL,
         )
     else:
         raise ValueError(f"unknown backend {backend!r} (want 'virtual' or 'process')")

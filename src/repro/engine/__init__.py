@@ -1,45 +1,35 @@
 """Concurrent multi-session N-variant execution engine.
 
-The original ``nvexec`` framework (:mod:`repro.core.nvariant`) drives exactly
-one N-variant system at a time: one set of variants, one monitor, one lockstep
-loop run to completion.  That is faithful to the paper's prototype but caps
-throughput at a single request pipeline in flight.  This package generalises
-the lockstep loop into *sessions* that can be interleaved:
+The paper's ``nvexec`` framework drives one N-variant system: one set of
+variants, one monitor, one lockstep loop run to completion.  This package
+splits that loop in two so many systems can share one simulated fleet:
 
 * :class:`~repro.engine.session.NVariantSession` packages one N-variant
   system's per-session state -- variant contexts, variation stack, syscall
   wrappers, and a **fresh monitor with fresh stats** -- behind a resumable
-  ``step()`` that executes exactly one lockstep round.
-* :class:`~repro.engine.scheduler.MultiSessionEngine` cooperatively schedules
-  many sessions round-robin, one lockstep round each per turn, so M
-  independent N-variant servers make progress concurrently on one simulated
-  host fleet.  The single-session case is the M=1 special case, which is how
-  :class:`~repro.core.nvariant.NVariantSystem` is now implemented.
+  ``step()`` that executes exactly one lockstep round.  ``session.run()``
+  steps it to the end (what :func:`~repro.core.nvariant.nvexec` does).
+* :class:`~repro.engine.scheduler.MultiSessionEngine` is the one engine
+  loop.  It admits jobs (lazily built sessions) into up to ``parallelism``
+  worker slots, gives every live session ``rounds_per_turn`` lockstep rounds
+  per turn round-robin, and finalizes each job the turn its session ends.
+  A fleet of ready-made sessions is every job admitted at once with one
+  round per turn; :func:`~repro.engine.scheduler.run_jobs` is the campaign
+  setting behind :func:`repro.api.campaign.run_campaign` (a bounded pool,
+  batched rounds).
 
 Halt policies: each session applies the paper's halt-on-divergence policy to
 *itself* (``HaltPolicy.PER_SESSION``, the default -- an alarm stops the
-alarming session while its siblings keep serving), or the engine can apply the
-conservative fleet-wide policy (``HaltPolicy.HALT_ALL``).
+alarming session while its siblings keep serving), or the engine applies the
+fleet-wide policy (``HaltPolicy.HALT_ALL``: live siblings are halted at the
+end of the turn and marked truncated, pending jobs are skipped).
 
-On top of the interleaving engine,
-:class:`~repro.engine.campaign.CampaignScheduler` runs *campaigns*: large
-batches of independent jobs (one attack x configuration cell each) admitted
-lazily through a bounded worker pool with batched lockstep rounds per
-scheduling turn.  It is the virtual-time execution path behind
-:func:`repro.api.campaign.run_campaign`; the multi-process master/worker
-tier in :mod:`repro.engine.procpool` is the wall-clock one
-(``run_campaign(..., backend="process")``), producing the same
-submission-order :class:`~repro.engine.campaign.CampaignExecutionResult`.
+The multi-process master/worker tier in :mod:`repro.engine.procpool` is the
+wall-clock counterpart (``run_campaign(..., backend="process")``), producing
+the same submission-order
+:class:`~repro.engine.scheduler.CampaignExecutionResult`.
 """
 
-from repro.engine.campaign import (
-    CampaignExecutionResult,
-    CampaignHaltPolicy,
-    CampaignJob,
-    CampaignScheduler,
-    ScheduledJobResult,
-    run_jobs,
-)
 from repro.engine.procpool import (
     ProcessCampaignExecutor,
     ProcessJob,
@@ -48,11 +38,13 @@ from repro.engine.procpool import (
     run_process_jobs,
 )
 from repro.engine.scheduler import (
-    EngineResult,
+    CampaignExecutionResult,
+    CampaignHaltPolicy,
+    CampaignJob,
     HaltPolicy,
     MultiSessionEngine,
-    ScheduledSessionResult,
-    run_sessions,
+    ScheduledJobResult,
+    run_jobs,
 )
 from repro.engine.session import NVariantSession, SessionState
 
@@ -60,8 +52,6 @@ __all__ = [
     "CampaignExecutionResult",
     "CampaignHaltPolicy",
     "CampaignJob",
-    "CampaignScheduler",
-    "EngineResult",
     "HaltPolicy",
     "MultiSessionEngine",
     "NVariantSession",
@@ -69,10 +59,8 @@ __all__ = [
     "ProcessJob",
     "ProcessWorkerPool",
     "ScheduledJobResult",
-    "ScheduledSessionResult",
     "SessionState",
     "WorkerError",
     "run_jobs",
     "run_process_jobs",
-    "run_sessions",
 ]

@@ -1,9 +1,8 @@
 """Multi-process campaign execution: a master and N pre-forked workers.
 
 Every execution tier below this one is *simulated* concurrency: the
-cooperative :class:`~repro.engine.scheduler.MultiSessionEngine` and the
-:class:`~repro.engine.campaign.CampaignScheduler` interleave sessions inside
-one Python interpreter and account progress in virtual kernel ticks.  This
+cooperative :class:`~repro.engine.scheduler.MultiSessionEngine` interleaves
+sessions inside one Python interpreter and account progress in virtual kernel ticks.  This
 module is the first layer where parallelism is physical.  Following the
 nginx-style master/worker pattern (a persistent master process, N workers
 forked once, no per-job process creation), a :class:`ProcessWorkerPool`
@@ -43,11 +42,7 @@ import traceback
 from collections import deque
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro.engine.campaign import (
-    CampaignExecutionResult,
-    CampaignHaltPolicy,
-    ScheduledJobResult,
-)
+from repro.engine.scheduler import CampaignExecutionResult, HaltPolicy, ScheduledJobResult
 from repro.engine.session import SessionState
 
 #: Keys a runner's result mapping must carry back to the master.
@@ -231,7 +226,7 @@ class ProcessWorkerPool:
         self,
         jobs: Sequence[ProcessJob],
         *,
-        halt_policy: CampaignHaltPolicy = CampaignHaltPolicy.PER_CELL,
+        halt_policy: HaltPolicy = HaltPolicy.PER_SESSION,
         rounds_per_turn: int = 1,
         parallelism_hint: Optional[int] = None,
     ) -> CampaignExecutionResult:
@@ -245,7 +240,7 @@ class ProcessWorkerPool:
         recorded for result-shape parity but does not batch anything here:
         each worker runs its cell to completion in one go.
 
-        Halt semantics under ``HALT_CAMPAIGN``: the first HALTED result stops
+        Halt semantics under ``HALT_ALL``: the first HALTED result stops
         admission (queued jobs are ``skipped``), and cells already in flight
         on other workers cannot be interrupted mid-run, so their results are
         marked ``truncated`` and their values dropped -- the process-tier
@@ -266,7 +261,6 @@ class ProcessWorkerPool:
                 parallelism=recorded_parallelism,
                 rounds_per_turn=rounds_per_turn,
                 worker_elapsed=worker_elapsed,
-                max_wait_turns=0,
                 max_live_sessions=0,
                 backend="process",
             )
@@ -330,7 +324,7 @@ class ProcessWorkerPool:
             worker_elapsed[worker] += outcome["virtual_elapsed"]
             if (
                 state is SessionState.HALTED
-                and halt_policy is CampaignHaltPolicy.HALT_CAMPAIGN
+                and halt_policy is HaltPolicy.HALT_ALL
                 and not campaign_halted
                 and not was_truncated
             ):
@@ -343,24 +337,14 @@ class ProcessWorkerPool:
 
         for index, result in enumerate(results):
             if result is None:
-                results[index] = ScheduledJobResult(
-                    name=jobs[index].name,
-                    index=index,
-                    worker=None,
-                    state=None,
-                    value=None,
-                    rounds=0,
-                    virtual_elapsed=0,
-                    skipped=True,
-                )
+                results[index] = ScheduledJobResult(jobs[index].name, index, skipped=True)
 
         return CampaignExecutionResult(
-            jobs=[result for result in results if result is not None],
+            jobs=results,
             scheduler_turns=turns,
             parallelism=recorded_parallelism,
             rounds_per_turn=rounds_per_turn,
             worker_elapsed=worker_elapsed,
-            max_wait_turns=0,
             max_live_sessions=max_live,
             backend="process",
             steals=steals,
@@ -372,7 +356,7 @@ class ProcessCampaignExecutor:
 
     The one-shot counterpart of :class:`ProcessWorkerPool`: construct it with
     the jobs and a worker count, call :meth:`run`, get the backend-agnostic
-    :class:`~repro.engine.campaign.CampaignExecutionResult`.  The fleet is
+    :class:`~repro.engine.scheduler.CampaignExecutionResult`.  The fleet is
     clamped to the job count (idle pre-forked workers would be pure startup
     cost) while the result still reports the requested ``workers`` -- the
     same accounting shape the virtual scheduler uses.  Pass ``pool`` to
@@ -385,7 +369,7 @@ class ProcessCampaignExecutor:
         jobs: Sequence[ProcessJob] = (),
         *,
         workers: int = 1,
-        halt_policy: CampaignHaltPolicy = CampaignHaltPolicy.PER_CELL,
+        halt_policy: HaltPolicy = HaltPolicy.PER_SESSION,
         rounds_per_turn: int = 1,
         mp_context: Optional[multiprocessing.context.BaseContext] = None,
         job_timeout: float = 300.0,
@@ -412,7 +396,6 @@ class ProcessCampaignExecutor:
                 parallelism=self.workers,
                 rounds_per_turn=self.rounds_per_turn,
                 worker_elapsed=[0] * self.workers,
-                max_wait_turns=0,
                 max_live_sessions=0,
                 backend="process",
             )
@@ -439,7 +422,7 @@ def run_process_jobs(
     jobs: Sequence[ProcessJob],
     *,
     workers: int = 1,
-    halt_policy: CampaignHaltPolicy = CampaignHaltPolicy.PER_CELL,
+    halt_policy: HaltPolicy = HaltPolicy.PER_SESSION,
     rounds_per_turn: int = 1,
     mp_context: Optional[multiprocessing.context.BaseContext] = None,
     job_timeout: float = 300.0,

@@ -3,12 +3,10 @@
 A session owns everything one lockstep N-variant run needs -- the variant
 processes and contexts, the variation stack, the syscall wrapper layer, and a
 monitor created fresh for the session (so :class:`~repro.core.monitor.MonitorStats`
-never leak between runs).  Unlike :meth:`NVariantSystem.run`, which loops to
-completion, a session exposes :meth:`NVariantSession.step`: execute exactly
-one lockstep round and return the session's state.  That is the unit the
-cooperative scheduler interleaves, and running ``step()`` in a loop until the
-session leaves ``RUNNING`` reproduces the original single-session semantics
-exactly.
+never leak between runs).  A session exposes :meth:`NVariantSession.step`:
+execute exactly one lockstep round and return the session's state.  That is
+the unit the engine interleaves; :meth:`NVariantSession.run` steps it until
+it leaves ``RUNNING`` (the paper's single-system ``nvexec`` loop).
 
 A round has three variation stages, and each variation declares the
 system calls each stage may rewrite (its three *footprints*, see
@@ -38,6 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.alarm import AlarmType
 from repro.core.monitor import Monitor, SyscallComparator
+from repro.core.nvariant import NVariantResult, Program, UIDCodec, VariantContext, VariantOutcome
 from repro.core.variations.base import Variation, VariationStack
 from repro.core.wrappers import SyscallWrappers, UnsharedFileRegistry
 from repro.interpose import get_table
@@ -63,8 +62,8 @@ class SessionState(enum.Enum):
 class _VariantRuntime:
     """Internal per-variant bookkeeping for the lockstep loop."""
 
-    context: "VariantContext"
-    program: "Program"
+    context: VariantContext
+    program: Program
     started: bool = False
     finished: bool = False
     fault: Optional[VariantFault] = None
@@ -76,17 +75,15 @@ class _VariantRuntime:
 class NVariantSession:
     """One N-variant system, advanced one lockstep round at a time.
 
-    Parameters mirror :class:`~repro.core.nvariant.NVariantSystem`; the
-    difference is purely the execution interface.  Each session builds its own
-    :class:`~repro.core.monitor.Monitor`, so alarm lists and monitor counters
-    are per-session state -- two sessions on the same engine never share or
-    accumulate each other's statistics.
+    Each session builds its own :class:`~repro.core.monitor.Monitor`, so
+    alarm lists and monitor counters are per-session state -- two sessions on
+    the same engine never share or accumulate each other's statistics.
     """
 
     def __init__(
         self,
         kernel: SimulatedKernel,
-        program_factory: Callable[["VariantContext"], "Program"],
+        program_factory: Callable[[VariantContext], Program],
         variations: Sequence[Variation] = (),
         *,
         num_variants: int = 2,
@@ -95,11 +92,6 @@ class NVariantSession:
         name: str = "session",
         interposition: str = "classic",
     ):
-        # Imported here (not at module top) because repro.core.nvariant is the
-        # backwards-compatible facade over this module and imports it lazily;
-        # a module-level import in both directions would be circular.
-        from repro.core.nvariant import VariantContext
-
         self.kernel = kernel
         self.program_factory = program_factory
         self.variations = VariationStack(list(variations), num_variants)
@@ -133,9 +125,7 @@ class NVariantSession:
 
     def _spawn_runtimes(self) -> None:
         """Spawn fresh variant processes, contexts and program instances."""
-        from repro.core.nvariant import VariantContext
-
-        self._contexts: list["VariantContext"] = []
+        self._contexts: list[VariantContext] = []
         processes: list[Process] = []
         for index in range(self.num_variants):
             process = self.kernel.spawn_process(
@@ -191,8 +181,7 @@ class NVariantSession:
         self._spawn_runtimes()
         return self.state
 
-    def _build_codec(self, index: int) -> "UIDCodec":
-        from repro.core.nvariant import UIDCodec
+    def _build_codec(self, index: int) -> UIDCodec:
         from repro.core.variations.uid import UIDVariation
 
         for variation in self.variations:
@@ -204,7 +193,7 @@ class NVariantSession:
         return UIDCodec.identity()
 
     @property
-    def contexts(self) -> list["VariantContext"]:
+    def contexts(self) -> list[VariantContext]:
         """The per-variant contexts (useful for inspection in tests)."""
         return self._contexts
 
@@ -311,7 +300,7 @@ class NVariantSession:
                 runtime.program.close()
         return self.state
 
-    def run(self) -> "NVariantResult":
+    def run(self) -> NVariantResult:
         """Drive the session to completion (the M=1 engine special case).
 
         Resuming a partially stepped session is fine; a session that already
@@ -346,10 +335,8 @@ class NVariantSession:
         self.state = SessionState.HALTED
         return self.state
 
-    def result(self) -> "NVariantResult":
+    def result(self) -> NVariantResult:
         """Build the :class:`~repro.core.nvariant.NVariantResult` so far."""
-        from repro.core.nvariant import NVariantResult, VariantOutcome
-
         variants = []
         for runtime in self._runtimes:
             process = runtime.context.process
@@ -388,7 +375,13 @@ class NVariantSession:
                 runtime.finished = True
                 if runtime.context.process.alive and runtime.context.process.exit_code is None:
                     runtime.context.process.exit(0)
-            except VariantFault as fault:
+            except Exception as exc:
+                # Variant code that crashes diverges like any trap: contain it
+                # as a fault so the session halts under its own policy.
+                fault = exc
+                if not isinstance(exc, VariantFault):
+                    fault = VariantFault(f"{type(exc).__name__}: {exc}")
+                    fault.__cause__ = exc
                 runtime.fault = fault
                 runtime.finished = True
                 runtime.context.process.fault(f"{fault.kind}: {fault.message}")

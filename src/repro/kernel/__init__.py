@@ -75,7 +75,7 @@ from repro.kernel.passwd import (
     parse_passwd,
 )
 from repro.kernel.process import Process, ProcessState, ProcessTable
-from repro.kernel.scheduler import Program, ProgramRunner, RoundRobinScheduler, RunResult, run_program
+from repro.kernel.scheduler import Program, ProgramRunner, RunResult
 from repro.kernel.signals import Signal, SignalState
 from repro.kernel.syscalls import (
     DETECTION_SYSCALLS,
@@ -133,7 +133,6 @@ __all__ = [
     "R_OK",
     "ROOT_GID",
     "ROOT_UID",
-    "RoundRobinScheduler",
     "RunResult",
     "SHADOW_FILE",
     "SegmentationFault",
@@ -165,7 +164,6 @@ __all__ = [
     "parse_passwd",
     "request",
     "root_credentials",
-    "run_program",
     "user_credentials",
     "validate_gid",
     "validate_uid",

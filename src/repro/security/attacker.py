@@ -36,7 +36,7 @@ from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from repro.api.seeding import derive_seed
 from repro.api.spec import SystemSpec, keyed_address_spec
-from repro.engine.campaign import CampaignHaltPolicy, CampaignJob, run_jobs
+from repro.engine.scheduler import CampaignJob, run_jobs
 from repro.engine.procpool import ProcessJob, ProcessWorkerPool, run_process_jobs
 from repro.memory.partition import (
     KeyedAddressScheme,
@@ -230,7 +230,6 @@ def run_probe_batch(
         execution = run_process_jobs(
             jobs,
             workers=workers,
-            halt_policy=CampaignHaltPolicy.PER_CELL,
             rounds_per_turn=rounds_per_turn,
             pool=pool,
         )
@@ -249,7 +248,6 @@ def run_probe_batch(
             jobs,
             parallelism=workers,
             rounds_per_turn=rounds_per_turn,
-            halt_policy=CampaignHaltPolicy.PER_CELL,
         )
     else:
         raise ValueError(f"backend must be 'virtual' or 'process', got {backend!r}")

@@ -27,7 +27,6 @@ from repro import (
     WorkloadSpec,
     build_engine,
     build_session,
-    build_system,
     build_variations,
     registry,
     run_attack,
@@ -169,16 +168,16 @@ class TestBuilderParity:
 
     def test_spec_built_system_matches_hand_wired_system(self):
         from repro.apps.httpd.server import make_httpd_factory
-        from repro.core.nvariant import NVariantSystem
+        from repro.engine.session import NVariantSession
 
-        legacy = NVariantSystem(
+        legacy = NVariantSession(
             self._preloaded_kernel(),
             make_httpd_factory(transformed=True, max_requests=2),
             [UIDVariation()],
             num_variants=2,
             name="httpd",
         ).run()
-        modern = build_system(
+        modern = build_session(
             UID_DIVERSITY_SPEC,
             self._preloaded_kernel(),
             make_httpd_factory(transformed=True, max_requests=2),
@@ -240,7 +239,7 @@ class TestBuilderParity:
         assert engine.halt_policy is HaltPolicy.HALT_ALL
         assert engine.name == "parity-fleet"
         result = engine.run()
-        assert len(result.sessions) == 2
+        assert len(result.jobs) == 2
 
 
 class TestOutcomeKindValues:

@@ -28,11 +28,7 @@ from repro.api.spec import (
 from repro.attacks.memory_attacks import standard_address_attacks
 from repro.attacks.outcomes import OutcomeKind
 from repro.attacks.uid_attacks import standard_uid_attacks
-from repro.engine.campaign import (
-    CampaignHaltPolicy,
-    CampaignJob,
-    CampaignScheduler,
-)
+from repro.engine.scheduler import CampaignJob, HaltPolicy, MultiSessionEngine, run_jobs
 
 
 def _serial_outcomes(specs, attacks):
@@ -177,7 +173,7 @@ class TestBackendEdgeCases:
 
     @pytest.mark.parametrize("backend", ["virtual", "process"])
     def test_halt_campaign_truncation_ordering(self, backend):
-        """At one worker, HALT_CAMPAIGN semantics are fully deterministic.
+        """At one worker, "halt-campaign" semantics are fully deterministic.
 
         The first cell is detected (halts), so every later cell must be
         skipped -- never truncated, never finalized -- in submission order,
@@ -254,7 +250,7 @@ class TestCampaignScheduler:
         return jobs
 
     def test_empty_campaign(self):
-        result = CampaignScheduler([]).run()
+        result = run_jobs([])
         assert result.jobs == [] and result.scheduler_turns == 0
         # No jobs means nothing was measured: the speedup is nan (unmeasured),
         # not 0.0 (measured, infinitely slow).
@@ -262,24 +258,23 @@ class TestCampaignScheduler:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            CampaignScheduler([], parallelism=0)
+            MultiSessionEngine([], parallelism=0)
         with pytest.raises(ValueError):
-            CampaignScheduler([], rounds_per_turn=0)
+            MultiSessionEngine([], rounds_per_turn=0)
         with pytest.raises(ValueError):
             run_campaign((UID_DIVERSITY_SPEC,), [], parallelism=0)
 
     def test_worker_accounting_serial_equals_sequential(self):
         jobs = self._cell_jobs(3)
-        result = CampaignScheduler(jobs, parallelism=1).run()
+        result = run_jobs(jobs, parallelism=1)
         assert result.worker_elapsed == [result.virtual_elapsed_sequential]
         assert result.speedup() == 1.0
         assert result.max_live_sessions == 1
 
     def test_worker_pool_bounds_live_sessions_and_speeds_up(self):
         jobs = self._cell_jobs(6)
-        result = CampaignScheduler(jobs, parallelism=3).run()
+        result = run_jobs(jobs, parallelism=3)
         assert result.max_live_sessions == 3
-        assert result.max_wait_turns == 0
         assert len(result.completed_jobs) == 6
         assert result.speedup() > 2.0
 
@@ -288,9 +283,7 @@ class TestCampaignScheduler:
             a for a in standard_uid_attacks() if a.name == "full-word-root-overwrite"
         )
         jobs = self._cell_jobs(1, attack=detected) + self._cell_jobs(4)
-        result = CampaignScheduler(
-            jobs, parallelism=1, halt_policy=CampaignHaltPolicy.HALT_CAMPAIGN
-        ).run()
+        result = run_jobs(jobs, parallelism=1, halt_policy=HaltPolicy.HALT_ALL)
         assert len(result.jobs) == 5
         # The first job halts (the attack is detected) and, serially, nothing
         # else ever starts.

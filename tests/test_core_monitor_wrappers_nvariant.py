@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.alarm import AlarmType
 from repro.core.monitor import Monitor
-from repro.core.nvariant import NVariantSystem, UIDCodec, nvexec
+from repro.core.nvariant import UIDCodec, nvexec
 from repro.core.pipeline import (
     DataDiversityPipeline,
     TargetInterpreter,
@@ -14,6 +14,7 @@ from repro.core.pipeline import (
 from repro.core.variations.address import AddressPartitioning
 from repro.core.variations.uid import UIDVariation
 from repro.core.wrappers import SyscallWrappers, UnsharedFileRegistry
+from repro.engine.session import NVariantSession
 from repro.kernel.errors import SegmentationFault
 from repro.kernel.filesystem import O_RDONLY
 from repro.kernel.host import build_standard_host
@@ -153,13 +154,13 @@ class TestNVariantEngine:
 
     def test_uid_codec_exposed_to_variants(self):
         kernel = build_standard_host()
-        system = NVariantSystem(kernel, _benign_factory, [UIDVariation()])
+        system = NVariantSession(kernel, _benign_factory, [UIDVariation()])
         assert system.contexts[0].uid_codec.root == 0
         assert system.contexts[1].uid_codec.root == 0x7FFFFFFF
 
     def test_identity_codec_without_uid_variation(self):
         kernel = build_standard_host()
-        system = NVariantSystem(kernel, _benign_factory, [AddressPartitioning()])
+        system = NVariantSession(kernel, _benign_factory, [AddressPartitioning()])
         assert system.contexts[1].uid_codec.root == 0
         assert system.contexts[1].address_space.partition == 1
 

@@ -9,19 +9,21 @@ alarm must stop only that session under the per-session halt policy.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.clients.webbench import WebBenchWorkload, drive_engine
 from repro.apps.httpd.server import make_httpd_factory
 from repro.attacks.payloads import benign_request, uid_overwrite_payload
-from repro.core.nvariant import NVariantSystem
+from repro.core.alarm import AlarmType
 from repro.core.variations.address import AddressPartitioning
 from repro.core.variations.uid import UIDVariation
 from repro.engine import (
+    CampaignJob,
     HaltPolicy,
     MultiSessionEngine,
     NVariantSession,
     SessionState,
-    run_sessions,
+    run_jobs,
 )
 from repro.kernel.host import HTTP_PORT, build_standard_host
 
@@ -30,7 +32,24 @@ def _variations():
     return [AddressPartitioning(), UIDVariation()]
 
 
-def _httpd_session(name, payloads, *, max_requests=None):
+def _crash_after_first_syscall(factory, variant):
+    """*factory* whose variant *variant* raises ValueError after one syscall."""
+
+    def crashing_factory(context):
+        program = factory(context)
+        if context.index != variant:
+            return program
+
+        def crashing():
+            yield program.send(None)
+            raise ValueError("variant bug")
+
+        return crashing()
+
+    return crashing_factory
+
+
+def _httpd_session(name, payloads, *, max_requests=None, crash_variant=None):
     """A 2-variant transformed httpd session on its own host, pre-loaded."""
     kernel = build_standard_host()
     for payload in payloads:
@@ -38,6 +57,8 @@ def _httpd_session(name, payloads, *, max_requests=None):
     factory = make_httpd_factory(
         transformed=True, max_requests=max_requests if max_requests is not None else len(payloads)
     )
+    if crash_variant is not None:
+        factory = _crash_after_first_syscall(factory, crash_variant)
     session = NVariantSession(kernel, factory, _variations(), name=name)
     return kernel, session
 
@@ -69,13 +90,13 @@ class TestInterleavingDeterminism:
             kernel, session = _httpd_session(f"con-{index}", _benign_payloads(3, path))
             concurrent_kernels.append(kernel)
             concurrent_sessions.append(session)
-        engine_result = run_sessions(concurrent_sessions)
+        engine_result = MultiSessionEngine(concurrent_sessions).run()
 
         assert engine_result.total_alarms == 0
-        for index, entry in enumerate(engine_result.sessions):
+        for index, entry in enumerate(engine_result.jobs):
             assert entry.state is SessionState.COMPLETED
             expected_alarms, expected_responses = sequential[index]
-            assert _alarm_signature(entry.result) == expected_alarms
+            assert _alarm_signature(entry.value) == expected_alarms
             assert _responses(concurrent_kernels[index]) == expected_responses
 
     def test_unequal_session_lengths_all_complete(self):
@@ -85,8 +106,8 @@ class TestInterleavingDeterminism:
             kernel, session = _httpd_session(f"len-{index}", _benign_payloads(count))
             kernels.append(kernel)
             sessions.append(session)
-        result = run_sessions(sessions)
-        assert [entry.state for entry in result.sessions] == [SessionState.COMPLETED] * 3
+        result = MultiSessionEngine(sessions).run()
+        assert [entry.state for entry in result.jobs] == [SessionState.COMPLETED] * 3
         assert result.total_alarms == 0
         for kernel, count in zip(kernels, (1, 4, 9)):
             responses = _responses(kernel)
@@ -101,9 +122,9 @@ class TestInterleavingDeterminism:
 
         _, attacked = _httpd_session("attacked", attack_payloads)
         benign = [_httpd_session(f"b-{i}", _benign_payloads(3))[1] for i in range(3)]
-        engine_result = run_sessions([attacked] + benign)
+        engine_result = MultiSessionEngine([attacked] + benign).run()
         assert (
-            _alarm_signature(engine_result.session("attacked").result)
+            _alarm_signature(engine_result.job("attacked").value)
             == _alarm_signature(alone_result)
         )
 
@@ -118,10 +139,10 @@ class TestHaltPolicies:
 
     def test_per_session_halt_stops_only_the_alarming_session(self):
         attack_kernel, attack_session, benign_kernel, benign_session = self._mixed_fleet()
-        result = run_sessions([attack_session, benign_session])
+        result = MultiSessionEngine([attack_session, benign_session]).run()
 
-        victim = result.session("victim")
-        bystander = result.session("bystander")
+        victim = result.job("victim")
+        bystander = result.job("bystander")
         assert victim.state is SessionState.HALTED
         assert victim.alarms >= 1
         assert bystander.state is SessionState.COMPLETED
@@ -132,12 +153,14 @@ class TestHaltPolicies:
 
     def test_halt_all_policy_stops_the_whole_fleet(self):
         _, attack_session, _, benign_session = self._mixed_fleet()
-        result = run_sessions(
+        result = MultiSessionEngine(
             [attack_session, benign_session], halt_policy=HaltPolicy.HALT_ALL
-        )
-        assert result.session("victim").state is SessionState.HALTED
-        assert result.session("bystander").state is SessionState.HALTED
-        assert result.session("bystander").alarms == 0
+        ).run()
+        assert result.job("victim").state is SessionState.HALTED
+        bystander = result.job("bystander")
+        assert bystander.state is SessionState.HALTED
+        assert bystander.truncated and bystander.value is None
+        assert bystander.alarms == 0
 
 
 class TestMonitorStatsIsolation:
@@ -145,9 +168,9 @@ class TestMonitorStatsIsolation:
         """Two identical sessions report identical (not accumulated) counters."""
         _, first = _httpd_session("first", _benign_payloads(2))
         _, second = _httpd_session("second", _benign_payloads(2))
-        result = run_sessions([first, second])
-        stats_a = result.session("first").result.monitor.stats
-        stats_b = result.session("second").result.monitor.stats
+        result = MultiSessionEngine([first, second]).run()
+        stats_a = result.job("first").value.monitor.stats
+        stats_b = result.job("second").value.monitor.stats
         assert stats_a.lockstep_points > 0
         assert dataclasses.asdict(stats_a) == dataclasses.asdict(stats_b)
 
@@ -155,7 +178,7 @@ class TestMonitorStatsIsolation:
         """Regression: stale MonitorStats must not leak into a run's result."""
         kernel = build_standard_host()
         kernel.client_connect(HTTP_PORT, benign_request())
-        system = NVariantSystem(
+        system = NVariantSession(
             kernel, make_httpd_factory(transformed=True, max_requests=1), _variations()
         )
         system.monitor.stats.lockstep_points = 123_456  # stale from a previous run
@@ -222,8 +245,6 @@ class TestCampaignSchedulerStress:
     """Fairness and fleet-halt behaviour of the campaign worker pool at scale."""
 
     def _benign_job(self, index, requests=3):
-        from repro.engine.campaign import CampaignJob
-
         def start():
             _, session = _httpd_session(f"stress-{index}", _benign_payloads(requests))
             return session
@@ -231,8 +252,6 @@ class TestCampaignSchedulerStress:
         return CampaignJob(name=f"stress-{index}", start=start, finish=lambda s: s.state)
 
     def _attack_job(self, index):
-        from repro.engine.campaign import CampaignJob
-
         def start():
             _, session = _httpd_session(
                 f"attack-{index}", [benign_request(), uid_overwrite_payload(0)]
@@ -242,37 +261,26 @@ class TestCampaignSchedulerStress:
         return CampaignJob(name=f"attack-{index}", start=start, finish=lambda s: s.state)
 
     def test_32_interleaved_campaign_sessions_complete_without_starvation(self):
-        from repro.engine.campaign import CampaignScheduler
-
         jobs = [self._benign_job(i, requests=1 + i % 4) for i in range(32)]
-        result = CampaignScheduler(jobs, parallelism=32, rounds_per_turn=2).run()
+        result = MultiSessionEngine(jobs, parallelism=32, rounds_per_turn=2).run()
 
         assert len(result.completed_jobs) == 32 and not result.skipped_jobs
         assert all(job.value is SessionState.COMPLETED for job in result.jobs)
         assert result.max_live_sessions == 32
-        # Fairness: round-robin never skips a live session for a whole turn,
-        # so no session's round count can lag a sibling admitted at the same
-        # time by more than one rounds_per_turn batch.
-        assert result.max_wait_turns == 0
         # Scheduler efficiency: turns are bounded by the longest job's rounds
         # divided by the batch size (plus the final bookkeeping turn).
         longest = max(job.rounds for job in result.jobs)
         assert result.scheduler_turns <= (longest + 1) // 2 + 2
 
     def test_worker_pool_drains_a_deep_backlog(self):
-        from repro.engine.campaign import CampaignScheduler
-
         jobs = [self._benign_job(i) for i in range(40)]
-        result = CampaignScheduler(jobs, parallelism=8).run()
+        result = run_jobs(jobs, parallelism=8)
         assert len(result.completed_jobs) == 40
         assert result.max_live_sessions == 8
-        assert result.max_wait_turns == 0
         # Eight workers sharing identical jobs land close to an 8x win.
         assert result.speedup() > 6.0
 
     def test_fleet_wide_halt_stops_stragglers_and_skips_backlog(self):
-        from repro.engine.campaign import CampaignHaltPolicy, CampaignScheduler
-
         # One attack session among long-running benign siblings, plus a
         # backlog that must never start once the campaign halts.
         jobs = (
@@ -280,11 +288,11 @@ class TestCampaignSchedulerStress:
             + [self._attack_job(0)]
             + [self._benign_job(100 + i, requests=9) for i in range(8)]
         )
-        result = CampaignScheduler(
+        result = MultiSessionEngine(
             jobs,
             parallelism=8,
             rounds_per_turn=1,
-            halt_policy=CampaignHaltPolicy.HALT_CAMPAIGN,
+            halt_policy=HaltPolicy.HALT_ALL,
         ).run()
 
         states = [job.state for job in result.jobs if not job.skipped]
@@ -317,10 +325,10 @@ class TestEngineMechanics:
 
     def test_virtual_elapsed_is_max_over_sessions(self):
         sessions = [_httpd_session(f"v-{i}", _benign_payloads(i + 1))[1] for i in range(3)]
-        result = run_sessions(sessions)
-        assert result.virtual_elapsed == max(s.virtual_elapsed for s in result.sessions)
+        result = MultiSessionEngine(sessions).run()
+        assert result.virtual_elapsed == max(s.virtual_elapsed for s in result.jobs)
         assert result.virtual_elapsed_sequential == sum(
-            s.virtual_elapsed for s in result.sessions
+            s.virtual_elapsed for s in result.jobs
         )
         assert result.virtual_elapsed < result.virtual_elapsed_sequential
 
@@ -349,10 +357,10 @@ class TestEngineMechanics:
         sessions = [
             NVariantSession(kernel, factory, [], name=f"shared-{i}") for i in range(2)
         ]
-        result = run_sessions(sessions)
+        result = MultiSessionEngine(sessions).run()
         consumed = kernel.clock - clock_before
         assert result.virtual_elapsed_sequential == consumed
-        assert all(s.virtual_elapsed > 0 for s in result.sessions)
+        assert all(s.virtual_elapsed > 0 for s in result.jobs)
 
     def test_duplicate_session_names_rejected(self):
         _, a = _httpd_session("dup", _benign_payloads(1))
@@ -363,7 +371,7 @@ class TestEngineMechanics:
 
     def test_empty_engine_returns_empty_result(self):
         result = MultiSessionEngine().run()
-        assert result.sessions == [] and result.total_alarms == 0
+        assert result.jobs == [] and result.total_alarms == 0
 
     def test_drive_engine_scales_throughput(self):
         from repro.api.spec import ADDRESS_UID_SPEC, FleetSpec, WorkloadSpec
@@ -378,3 +386,100 @@ class TestEngineMechanics:
         )
         assert single.completed_ok and fleet.completed_ok
         assert fleet.speedup() > 3.0
+
+
+class TestFaultContainment:
+    def test_crashing_variant_halts_only_its_own_session(self):
+        _, bad = _httpd_session("bad", _benign_payloads(2), crash_variant=1)
+        good = [_httpd_session(f"ok{i}", _benign_payloads(2))[1] for i in range(3)]
+        result = MultiSessionEngine([bad] + good).run()
+
+        crashed = result.job("bad")
+        assert crashed.state is SessionState.HALTED and not crashed.truncated
+        (alarm,) = crashed.value.alarms
+        assert alarm.alarm_type is AlarmType.VARIANT_FAULT
+        assert alarm.faulting_variant == 1
+        assert "ValueError" in alarm.description
+        assert [result.job(f"ok{i}").state for i in range(3)] == [SessionState.COMPLETED] * 3
+        assert result.total_alarms == 1
+
+    def test_framework_exception_propagates_naming_the_session(self):
+        _, broken = _httpd_session("broken", _benign_payloads(1))
+        _, bystander = _httpd_session("bystander", _benign_payloads(1))
+
+        def failing_check(requests, *, lockstep_index):
+            raise KeyError("comparator bug")
+
+        broken.comparator.check_round = failing_check
+        engine = MultiSessionEngine([bystander, broken], name="fleet")
+        with pytest.raises(KeyError, match="comparator bug") as caught:
+            engine.run()
+        assert any("'broken'" in note and "'fleet'" in note for note in caught.value.__notes__)
+
+
+#: Session kinds the engine-loop property mixes.
+SESSION_KINDS = ("benign", "attack", "crash")
+
+
+def _kind_session(kind, name, requests):
+    if kind == "attack":
+        return _httpd_session(name, _benign_payloads(requests - 1) + [uid_overwrite_payload(0)])[1]
+    return _httpd_session(
+        name, _benign_payloads(requests), crash_variant=1 if kind == "crash" else None
+    )[1]
+
+
+def _signature(session):
+    alarm_types = [alarm.alarm_type for alarm in session.monitor.alarms]
+    return session.state, session.rounds, alarm_types, session.virtual_elapsed
+
+
+class TestEngineLoopProperty:
+    """Fleet or campaign, one loop: scheduling never changes a session's run."""
+
+    @given(
+        mix=st.lists(
+            st.tuples(st.sampled_from(SESSION_KINDS), st.integers(min_value=1, max_value=3)),
+            min_size=1,
+            max_size=4,
+        ),
+        parallelism=st.integers(min_value=1, max_value=4),
+        rounds_per_turn=st.integers(min_value=1, max_value=6),
+        halt_policy=st.sampled_from(list(HaltPolicy)),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_interleaving_matches_solo_runs(self, mix, parallelism, rounds_per_turn, halt_policy):
+        solo = []
+        for index, (kind, requests) in enumerate(mix):
+            session = _kind_session(kind, f"solo-{index}", requests)
+            session.run()
+            solo.append(_signature(session))
+
+        fleet = MultiSessionEngine(
+            [_kind_session(kind, f"s{i}", n) for i, (kind, n) in enumerate(mix)],
+            halt_policy=halt_policy,
+        ).run()
+        campaign = MultiSessionEngine(
+            [
+                CampaignJob(
+                    f"job-{i}",
+                    start=lambda kind=kind, i=i, n=n: _kind_session(kind, f"job-{i}", n),
+                    finish=_signature,
+                )
+                for i, (kind, n) in enumerate(mix)
+            ],
+            parallelism=parallelism,
+            rounds_per_turn=rounds_per_turn,
+            halt_policy=halt_policy,
+        ).run()
+
+        for result in (fleet, campaign):
+            finished = len(result.completed_jobs)
+            assert finished + len(result.truncated_jobs) + len(result.skipped_jobs) == len(mix)
+            if halt_policy is HaltPolicy.PER_SESSION:
+                assert finished == len(mix)
+        for job in fleet.completed_jobs:
+            alarm_types = [alarm.alarm_type for alarm in job.value.alarms]
+            assert (job.state, job.rounds, alarm_types, job.virtual_elapsed) == solo[job.index]
+        for job in campaign.completed_jobs:
+            assert job.value == solo[job.index]

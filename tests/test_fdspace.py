@@ -13,7 +13,7 @@ from repro.api.builders import build_variations
 from repro.api.registry import registry
 from repro.api.spec import SystemSpec
 from repro.core.alarm import AlarmType
-from repro.core.nvariant import NVariantSystem, nvexec
+from repro.core.nvariant import nvexec
 from repro.core.variations import (
     AddressPartitioning,
     FdOrbitVariation,
@@ -22,6 +22,7 @@ from repro.core.variations import (
     UIDVariation,
 )
 from repro.core.variations.fdspace import FD_ARGUMENT_SYSCALLS, FD_RESULT_SYSCALLS
+from repro.engine.session import NVariantSession
 from repro.kernel.filesystem import O_RDONLY
 from repro.kernel.host import build_standard_host
 from repro.kernel.syscalls import Syscall, request
@@ -188,7 +189,7 @@ class TestFdOrbitEngine:
     def test_wide_table_composes_with_fd_orbit(self):
         kernel = build_standard_host()
         kernel.client_connect(8080, b"hello")
-        system = NVariantSystem(
+        system = NVariantSession(
             kernel,
             _benign_fd_factory,
             [FdOrbitVariation(2)],

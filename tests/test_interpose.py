@@ -12,7 +12,7 @@ import pytest
 from repro.core import wrappers as wrappers_module
 from repro.core import monitor as monitor_module
 from repro.core.alarm import AlarmType
-from repro.core.nvariant import NVariantSystem
+from repro.engine.session import NVariantSession
 from repro.interpose import (
     CLASSIC_TABLE,
     InterpositionEntry,
@@ -111,7 +111,7 @@ class TestWideTable:
 
 def _run(factory, *, interposition, variations=(), kernel=None):
     kernel = kernel if kernel is not None else build_standard_host()
-    system = NVariantSystem(
+    system = NVariantSession(
         kernel, factory, list(variations), interposition=interposition
     )
     return kernel, system.run()

@@ -162,7 +162,7 @@ class TestEngineMigration:
         secrets = keyed_secrets(session)
         target = MultiSessionEngine([], name="target")
         restored = migrate(session, target, name="moved")
-        assert [s.name for s in target.sessions] == ["moved"]
+        assert [job.name for job in target.jobs] == ["moved"]
         assert keyed_secrets(restored) == secrets
         target.run()
         assert restored.state is SessionState.COMPLETED

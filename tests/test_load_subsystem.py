@@ -11,12 +11,15 @@ point: a full queue really refuses (or evicts) sessions, and departures
 flow back into the policy's occupancy.
 """
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.cli import main as cli_main
 from repro.api.spec import uid_orbit_spec
 from repro.engine import MultiSessionEngine, SessionState
 from repro.load import (
@@ -280,7 +283,7 @@ class TestEngineIntake:
     def test_offer_without_intake_admits(self):
         engine = MultiSessionEngine([], name="open")
         assert engine.offer(_fresh_session("s1"))
-        assert [s.name for s in engine.sessions] == ["s1"]
+        assert [job.name for job in engine.jobs] == ["s1"]
 
     def test_offer_sheds_when_bounded_queue_full(self):
         policy = BoundedQueuePolicy(capacity=2, drop="newest")
@@ -288,7 +291,7 @@ class TestEngineIntake:
         assert engine.offer(_fresh_session("s1"))
         assert engine.offer(_fresh_session("s2"))
         assert not engine.offer(_fresh_session("s3"))
-        assert [s.name for s in engine.sessions] == ["s1", "s2"]
+        assert [job.name for job in engine.jobs] == ["s1", "s2"]
         assert policy.stats.shed == 1
 
     def test_offer_evicts_oldest_unstarted_session(self):
@@ -297,7 +300,7 @@ class TestEngineIntake:
         engine.offer(_fresh_session("s1"))
         engine.offer(_fresh_session("s2"))
         assert engine.offer(_fresh_session("s3"))
-        assert [s.name for s in engine.sessions] == ["s2", "s3"]
+        assert [job.name for job in engine.jobs] == ["s2", "s3"]
         assert policy.stats.queued == 2
 
     def test_completed_sessions_release_their_slot(self):
@@ -305,8 +308,8 @@ class TestEngineIntake:
         engine = MultiSessionEngine([], name="draining", intake=policy)
         assert engine.offer(_fresh_session("s1"))
         assert not engine.offer(_fresh_session("blocked"))
-        engine.run()
-        assert engine.sessions[0].state is SessionState.COMPLETED
+        result = engine.run()
+        assert result.jobs[0].state is SessionState.COMPLETED
         assert policy.stats.queued == 0
         assert engine.offer(_fresh_session("s2"))
 
@@ -342,3 +345,29 @@ class TestDriverAccounting:
         assert result.queue_high_water <= 2
         assert result.alarms == 0
         assert result.latency.count == result.completed
+
+
+LOADTEST_SCENARIO = Path(__file__).resolve().parents[1] / "examples" / "scenarios" / "loadtest.json"
+
+
+class TestLoadtestScenarioCLI:
+    """The example loadtest scenario end to end through ``python -m repro run``."""
+
+    def test_text_report(self, capsys):
+        assert cli_main(["run", str(LOADTEST_SCENARIO)]) == 0
+        out = capsys.readouterr().out
+        assert "offered 26, admitted 26, shed 18, completed 6" in out
+        assert "migrated mid-run" in out
+        assert "attack uid-overwrite: halted" in out
+        assert "attack pointer-overwrite: halted" in out
+
+    def test_json_report(self, capsys):
+        assert cli_main(["run", str(LOADTEST_SCENARIO), "--output", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["scenario"] == "loadtest"
+        assert (report["offered"], report["admitted"], report["shed"]) == (26, 26, 18)
+        assert report["migrated"] is True
+        assert [(o["attack"], o["halted"]) for o in report["attack_outcomes"]] == [
+            ("uid-overwrite", True),
+            ("pointer-overwrite", True),
+        ]

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.engine.campaign import CampaignHaltPolicy
+from repro.engine.scheduler import HaltPolicy
 from repro.engine.procpool import (
     ProcessCampaignExecutor,
     ProcessJob,
@@ -202,7 +202,7 @@ class TestProcessCampaignExecutor:
             _job("never-2"),
         ]
         result = run_process_jobs(
-            jobs, workers=1, halt_policy=CampaignHaltPolicy.HALT_CAMPAIGN
+            jobs, workers=1, halt_policy=HaltPolicy.HALT_ALL
         )
         assert result.jobs[0].state is SessionState.HALTED
         assert result.jobs[0].value == "alarm"
@@ -218,7 +218,7 @@ class TestProcessCampaignExecutor:
             _job("queued-2"),
         ]
         result = run_process_jobs(
-            jobs, workers=2, halt_policy=CampaignHaltPolicy.HALT_CAMPAIGN
+            jobs, workers=2, halt_policy=HaltPolicy.HALT_ALL
         )
         assert result.jobs[0].state is SessionState.HALTED
         truncated = result.truncated_jobs
