@@ -108,16 +108,18 @@ check-corpus:
 	@echo "check-corpus ok: corpus suites + generated-corpus scorecard all-pass"
 
 # The second-workload gate: the interposition-table and fd-orbit unit suites,
-# the ftpd suite, the cross-app parity matrix, the fd-orbit slice of the
+# both app suites and the two-app client-driver suite (the apps share one
+# driver), the cross-app parity matrix, the fd-orbit slice of the
 # partition-scheme invariant sweep, then the apps experiment's claims (the
 # virtual-backend smoke) and one ftpd campaign scenario through the CLI.
 check-apps:
 	$(PYTHON) -m pytest -q tests/test_interpose.py tests/test_fdspace.py \
-		tests/test_apps_ftpd.py tests/test_cross_app_parity.py
+		tests/test_apps_httpd.py tests/test_apps_ftpd.py tests/test_client_drivers.py \
+		tests/test_cross_app_parity.py
 	$(PYTHON) -m pytest -q tests/test_partition_schemes.py -k "fd"
 	$(PYTHON) -m repro experiment apps --smoke > /dev/null
 	$(PYTHON) -m repro run examples/scenarios/ftpd_campaign.json > /dev/null
-	@echo "check-apps ok: interposition + fd-orbit + ftpd suites, parity, apps smoke"
+	@echo "check-apps ok: interposition + fd-orbit + app + client-driver suites, parity, apps smoke"
 
 # The open-loop load gate: the arrivals/admission/latency/intake unit suite
 # and the checkpoint/restore/migration property suite, a seeded loadtest

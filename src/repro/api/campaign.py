@@ -114,10 +114,16 @@ def attacks_by_name(app: str = "httpd") -> dict[str, "Attack"]:
 def prepare_attack(attack: "Attack", spec: SystemSpec) -> "PreparedAttack":
     """Prepare one attack-x-spec cell: a lazy session plus its finalizer."""
     from repro.attacks.memory_attacks import AddressInjectionAttack, prepare_address_attack
-    from repro.attacks.uid_attacks import UIDAttack, prepare_uid_attack
+    from repro.attacks.uid_attacks import (
+        UIDAttack,
+        prepare_corruption_attack,
+        prepare_remote_attack,
+    )
 
     if isinstance(attack, UIDAttack):
-        return prepare_uid_attack(attack, spec)
+        if attack.remote:
+            return prepare_remote_attack(attack, spec)
+        return prepare_corruption_attack(attack, spec)
     if isinstance(attack, AddressInjectionAttack):
         return prepare_address_attack(attack, spec)
     raise TypeError(f"unknown attack type {type(attack).__name__}: cannot dispatch {attack!r}")

@@ -310,6 +310,13 @@ class FleetSpec:
             object.__setattr__(self, "workload", WorkloadSpec.from_dict(self.workload))
         if self.num_sessions < 1:
             raise ValueError(f"num_sessions must be >= 1, got {self.num_sessions}")
+        if self.num_sessions > self.workload.total_requests:
+            # A shard with no request to serve still runs its server, which
+            # inflates the sequential reference and with it the speedup.
+            raise ValueError(
+                f"num_sessions ({self.num_sessions}) must not exceed the workload's "
+                f"total_requests ({self.workload.total_requests})"
+            )
         if self.multiplex < 1:
             raise ValueError(f"multiplex must be >= 1, got {self.multiplex}")
         if self.halt_policy not in FLEET_HALT_POLICIES:

@@ -4,41 +4,46 @@ Drives a deterministic RETR mix against the mini-ftpd -- standalone or under
 any N-variant configuration -- and reports the same
 :class:`~repro.apps.clients.webbench.WorkloadMeasurement` record, so the
 virtual-time performance model consumes both applications' runs unchanged.
+Only the FTP wire format lives here; the drivers are the shared ones from
+:mod:`repro.apps.clients.webbench`.
 
 Every scripted conversation pre-connects its command channel *and* its data
-channel (the simulated PORT-mode client); the server accepts them FIFO, so
-the n-th command connection is always paired with the n-th data channel.
+channel (the simulated PORT-mode client, see the catalog's ``connect``); the
+server accepts them FIFO, so the n-th command connection is always paired
+with the n-th data channel.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
-from repro.api.builders import build_session
-from repro.api.spec import SystemSpec
-from repro.apps.clients.webbench import WorkloadMeasurement
-from repro.apps.ftpd.server import MiniFtpd, make_ftpd_factory
+from repro.apps.clients.webbench import (
+    ClientWorkload,
+    RequestMixEntry,
+    WorkloadMeasurement,
+    drive_engine,
+    drive_nvariant,
+    drive_nvariant_many,
+    serve_standalone,
+)
+from repro.apps.ftpd.server import MiniFtpd
 from repro.attacks.payloads import FTP_PASSWORD, FTP_USER, format_ftp_commands
-from repro.core.nvariant import NVariantResult, UIDCodec
-from repro.engine import NVariantSession
-from repro.kernel.host import FTP_DATA_PORT, FTP_PORT, build_ftp_host
 from repro.kernel.kernel import SimulatedKernel
-from repro.kernel.libc import Libc
 from repro.kernel.scheduler import ProgramRunner
 
-#: Client label prefix; data channels get a ``-data`` suffix.
-CLIENT_LABEL = "ftpbench"
+__all__ = [
+    "DEFAULT_FTP_MIX",
+    "FtpBenchWorkload",
+    "FtpMixEntry",
+    "drive_engine",
+    "drive_nvariant",
+    "drive_nvariant_many",
+    "drive_standalone",
+]
 
-
-@dataclasses.dataclass(frozen=True)
-class FtpMixEntry:
-    """One file in the RETR mix with its relative weight."""
-
-    path: str
-    weight: int = 1
-
+#: One file in the RETR mix with its relative weight.
+FtpMixEntry = RequestMixEntry
 
 #: The default transfer mix over the standard FTP site, weighted towards the
 #: small files like the webbench static mix is.
@@ -52,7 +57,7 @@ DEFAULT_FTP_MIX: tuple[FtpMixEntry, ...] = (
 
 
 @dataclasses.dataclass
-class FtpBenchWorkload:
+class FtpBenchWorkload(ClientWorkload):
     """A deterministic FTP transfer sequence.
 
     ``transfers_per_connection`` batches that many RETRs into one
@@ -60,20 +65,10 @@ class FtpBenchWorkload:
     analogue of webbench's keep-alive pipelining.
     """
 
-    total_requests: int = 50
-    mix: Sequence[FtpMixEntry] = DEFAULT_FTP_MIX
-    client_engines: int = 1
-    client_machines: int = 1
-    transfers_per_connection: int = 1
+    app: ClassVar[str] = "ftpd"
 
-    def request_paths(self) -> list[str]:
-        """Expand the weighted mix into the ordered RETR path sequence."""
-        cycle = []
-        for entry in self.mix:
-            cycle.extend([entry.path] * entry.weight)
-        if not cycle:
-            raise ValueError("transfer mix must not be empty")
-        return list(itertools.islice(itertools.cycle(cycle), self.total_requests))
+    mix: Sequence[FtpMixEntry] = DEFAULT_FTP_MIX
+    transfers_per_connection: int = 1
 
     def connection_payloads(self) -> list[bytes]:
         """One command-channel byte blob per scripted conversation."""
@@ -89,49 +84,25 @@ class FtpBenchWorkload:
             payloads.append(format_ftp_commands(commands))
         return payloads
 
-    @property
-    def concurrent_clients(self) -> int:
-        """Total simultaneous client engines (engines x machines)."""
-        return self.client_engines * self.client_machines
-
-
-def _connect_workload(kernel: SimulatedKernel, workload: FtpBenchWorkload) -> None:
-    """Queue every conversation (command + paired data channel) on the host."""
-    for index, payload in enumerate(workload.connection_payloads()):
-        kernel.client_connect(FTP_PORT, payload, client=f"{CLIENT_LABEL}-{index}")
-        kernel.client_connect(FTP_DATA_PORT, b"", client=f"{CLIENT_LABEL}-{index}-data")
-
-
-def _collect_transfers(kernel: SimulatedKernel) -> tuple[int, dict[int, int], int]:
-    """Parse the client-side view; returns (completed, statuses, body bytes).
-
-    Completed transfers are the ``226`` replies on command channels; body
-    bytes are what actually arrived on the data channels.
-    """
-    completed = 0
-    statuses: dict[int, int] = {}
-    body_bytes = 0
-    for connection in kernel.network.connections:
-        raw = connection.response_bytes()
-        if not raw:
-            continue
-        if connection.client.endswith("-data"):
-            body_bytes += len(raw)
-            continue
-        for line in raw.split(b"\r\n"):
-            if len(line) >= 4 and line[:3].isdigit() and line[3:4] == b" ":
-                status = int(line[:3])
-                statuses[status] = statuses.get(status, 0) + 1
-                if status == 226:
-                    completed += 1
-    return completed, statuses, body_bytes
-
-
-def _detection_calls(kernel: SimulatedKernel) -> int:
-    return sum(
-        kernel.stats.syscall_breakdown.get(name, 0)
-        for name in ("uid_value", "cond_chk", "cc_eq", "cc_neq", "cc_lt", "cc_leq", "cc_gt", "cc_geq")
-    )
+    def collect(self, kernel: SimulatedKernel) -> tuple[int, dict[int, int], int]:
+        """Count transfers: ``226`` replies on command channels, bytes on data channels."""
+        completed = 0
+        statuses: dict[int, int] = {}
+        body_bytes = 0
+        for connection in kernel.network.connections:
+            raw = connection.response_bytes()
+            if not raw:
+                continue
+            if connection.client.endswith("-data"):
+                body_bytes += len(raw)
+                continue
+            for line in raw.split(b"\r\n"):
+                if len(line) >= 4 and line[:3].isdigit() and line[3:4] == b" ":
+                    status = int(line[:3])
+                    statuses[status] = statuses.get(status, 0) + 1
+                    if status == 226:
+                        completed += 1
+        return completed, statuses, body_bytes
 
 
 def drive_standalone(
@@ -143,90 +114,12 @@ def drive_standalone(
     configuration: str = "ftpd-standalone",
 ) -> WorkloadMeasurement:
     """Run the workload against a single (non-redundant) ftpd process."""
-    kernel = kernel if kernel is not None else build_ftp_host()
-    _connect_workload(kernel, workload)
-
-    process = kernel.spawn_process("ftpd")
-    server = MiniFtpd(
-        Libc(),
-        UIDCodec.identity(),
-        process.address_space,
+    return serve_standalone(
+        workload,
+        MiniFtpd,
+        ProgramRunner,
         transformed=transformed,
-        max_requests=workload.total_requests,
         multiplex=multiplex,
-    )
-    runner = ProgramRunner(kernel)
-    run_result = runner.run(process, server.run())
-
-    completed, statuses, body_bytes = _collect_transfers(kernel)
-    return WorkloadMeasurement(
+        kernel=kernel,
         configuration=configuration,
-        num_variants=1,
-        requests_sent=workload.total_requests,
-        requests_completed=completed,
-        status_counts=statuses,
-        response_bytes=body_bytes,
-        syscalls_total=kernel.stats.syscall_count,
-        syscalls_per_variant=[process.stats.syscall_count],
-        bytes_read=kernel.stats.bytes_read,
-        bytes_written=kernel.stats.bytes_written,
-        replicated_calls=0,
-        per_variant_calls=kernel.stats.syscall_count,
-        monitor_checks=0,
-        detection_calls=_detection_calls(kernel),
-        alarms=0 if run_result.exited_normally else 1,
-        concurrent_clients=workload.concurrent_clients,
     )
-
-
-def prepare_nvariant_session(
-    workload: FtpBenchWorkload,
-    spec: SystemSpec,
-    *,
-    multiplex: int = 1,
-    kernel: Optional[SimulatedKernel] = None,
-    name: str = "ftpd",
-) -> tuple[SimulatedKernel, NVariantSession]:
-    """Load the workload onto a (fresh) FTP host and build the server session."""
-    kernel = kernel if kernel is not None else build_ftp_host()
-    _connect_workload(kernel, workload)
-    factory = make_ftpd_factory(
-        transformed=spec.transformed,
-        max_requests=workload.total_requests,
-        multiplex=multiplex,
-    )
-    return kernel, build_session(spec, kernel, factory, name=name)
-
-
-def drive_nvariant(
-    workload: FtpBenchWorkload,
-    spec: SystemSpec,
-    *,
-    multiplex: int = 1,
-    kernel: Optional[SimulatedKernel] = None,
-) -> tuple[WorkloadMeasurement, NVariantResult]:
-    """Run the workload against a declaratively specified N-variant ftpd."""
-    kernel, session = prepare_nvariant_session(
-        workload, spec, multiplex=multiplex, kernel=kernel
-    )
-    result = session.run()
-    completed, statuses, body_bytes = _collect_transfers(kernel)
-    measurement = WorkloadMeasurement(
-        configuration=spec.name,
-        num_variants=spec.num_variants,
-        requests_sent=workload.total_requests,
-        requests_completed=completed,
-        status_counts=statuses,
-        response_bytes=body_bytes,
-        syscalls_total=sum(v.syscall_count for v in result.variants),
-        syscalls_per_variant=[v.syscall_count for v in result.variants],
-        bytes_read=kernel.stats.bytes_read,
-        bytes_written=kernel.stats.bytes_written,
-        replicated_calls=result.wrapper_stats.replicated_calls,
-        per_variant_calls=result.wrapper_stats.per_variant_calls,
-        monitor_checks=result.monitor.stats.syscalls_compared,
-        detection_calls=_detection_calls(kernel),
-        alarms=len(result.alarms),
-        concurrent_clients=workload.concurrent_clients,
-    )
-    return measurement, result

@@ -1,12 +1,21 @@
-"""WebBench-style workload generation and measurement.
+"""Client workloads and the drivers that serve them, for every catalog app.
 
 The paper measures Table 3 with WebBench 5.0: client engines issue a mix of
 static page requests against the server and report throughput (KB/s) and
 latency (ms).  This module reproduces the workload side: a deterministic
-static-page request mix, drivers that push the workload through a server
+weighted request mix, drivers that push the workload through a server
 configuration (single process or N-variant), and a measurement record that
 captures everything the virtual-time performance model needs to turn the run
 into throughput and latency figures.
+
+A workload names its catalog app (:mod:`repro.apps.catalog`) and keeps only
+what is truly app-specific: how its requests render onto the wire and how
+the client-side bytes parse back into completed requests.
+:class:`WebBenchWorkload` here is the httpd's;
+:class:`~repro.apps.clients.ftpbench.FtpBenchWorkload` is the ftpd's.  The
+drivers are written once and serve both: every session is built by
+:func:`~repro.load.checkpoint.build_serving_session`, and every run is
+measured into one :class:`WorkloadMeasurement`.
 
 Because the simulation is single-threaded, "client engines" do not run
 concurrently; instead their count parameterises the performance model's
@@ -23,23 +32,26 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
-from repro.api.builders import build_engine, build_session
+from repro.api.builders import build_engine
 from repro.api.spec import FleetSpec, SystemSpec
+from repro.apps.catalog import get_app
 from repro.apps.httpd.http import format_request, split_responses
-from repro.apps.httpd.server import MiniHttpd, make_httpd_factory
+from repro.apps.httpd.server import MiniHttpd
 from repro.core.nvariant import NVariantResult, UIDCodec
 from repro.engine import CampaignExecutionResult, MultiSessionEngine, NVariantSession
-from repro.kernel.host import DOCROOT, HTTP_PORT, build_standard_host
+from repro.kernel.host import build_standard_host
 from repro.kernel.kernel import SimulatedKernel
 from repro.kernel.libc import Libc
 from repro.kernel.scheduler import ProgramRunner
+from repro.kernel.syscalls import DETECTION_SYSCALLS
+from repro.load.checkpoint import build_serving_session
 
 
 @dataclasses.dataclass(frozen=True)
 class RequestMixEntry:
-    """One document in the request mix with its relative weight."""
+    """One document (or file) in a request mix with its relative weight."""
 
     path: str
     weight: int = 1
@@ -62,8 +74,65 @@ DEFAULT_STATIC_MIX: tuple[RequestMixEntry, ...] = (
 
 
 @dataclasses.dataclass
-class WebBenchWorkload:
-    """A deterministic request sequence in the WebBench style.
+class ClientWorkload:
+    """A deterministic request sequence against one catalog app.
+
+    Subclasses set :attr:`app` and implement the two app-specific halves:
+    :meth:`connection_payloads` (one byte blob per client conversation) and
+    :meth:`collect` (parse what the clients received).
+    """
+
+    #: The catalog name of the app this workload drives.
+    app: ClassVar[str]
+
+    total_requests: int = 50
+    mix: Sequence[RequestMixEntry] = ()
+    client_engines: int = 1
+    client_machines: int = 1
+
+    def request_paths(self) -> list[str]:
+        """Expand the weighted mix into the ordered request path sequence."""
+        cycle = [entry.path for entry in self.mix for _ in range(entry.weight)]
+        if not cycle:
+            raise ValueError("request mix must not be empty")
+        return list(itertools.islice(itertools.cycle(cycle), self.total_requests))
+
+    def connection_payloads(self) -> list[bytes]:
+        """The wire bytes of each client conversation, in connection order."""
+        raise NotImplementedError
+
+    def collect(self, kernel: SimulatedKernel) -> tuple[int, dict[int, int], int]:
+        """Parse the client-side view; returns (completed, statuses, body bytes)."""
+        raise NotImplementedError
+
+    def split(self, shards: int) -> list["ClientWorkload"]:
+        """Divide the workload across *shards* independent server replicas.
+
+        The request total is dealt out as evenly as possible (earlier shards
+        receive the remainder); every other parameter is inherited.  Every
+        shard must get at least one request: an idle replica still runs its
+        server, which would inflate a fleet's sequential reference.
+        """
+        if not 1 <= shards <= self.total_requests:
+            raise ValueError(
+                f"shards must be between 1 and total_requests ({self.total_requests}), "
+                f"got {shards}"
+            )
+        base, remainder = divmod(self.total_requests, shards)
+        return [
+            dataclasses.replace(self, total_requests=base + (1 if i < remainder else 0))
+            for i in range(shards)
+        ]
+
+    @property
+    def concurrent_clients(self) -> int:
+        """Total simultaneous client engines (engines x machines)."""
+        return self.client_engines * self.client_machines
+
+
+@dataclasses.dataclass
+class WebBenchWorkload(ClientWorkload):
+    """A deterministic HTTP request sequence in the WebBench style.
 
     ``requests_per_connection`` models keep-alive clients: with the default
     of 1 every request travels on its own connection (the original WebBench
@@ -71,22 +140,11 @@ class WebBenchWorkload:
     ``drive_*`` callers can pair the workload with a multiplexing server.
     """
 
-    total_requests: int = 50
+    app: ClassVar[str] = "httpd"
+
     mix: Sequence[RequestMixEntry] = DEFAULT_STATIC_MIX
-    client_engines: int = 1
-    client_machines: int = 1
     requests_per_connection: int = 1
     extra_headers: dict[str, str] = dataclasses.field(default_factory=dict)
-
-    def request_paths(self) -> list[str]:
-        """Expand the weighted mix into the ordered request path sequence."""
-        cycle = []
-        for entry in self.mix:
-            cycle.extend([entry.path] * entry.weight)
-        if not cycle:
-            raise ValueError("request mix must not be empty")
-        paths = list(itertools.islice(itertools.cycle(cycle), self.total_requests))
-        return paths
 
     def request_bytes(self) -> list[bytes]:
         """The raw request payloads, in order."""
@@ -102,24 +160,25 @@ class WebBenchWorkload:
         size = self.requests_per_connection
         return [b"".join(payloads[i : i + size]) for i in range(0, len(payloads), size)]
 
-    def split(self, shards: int) -> list["WebBenchWorkload"]:
-        """Divide the workload across *shards* independent server replicas.
+    def collect(self, kernel: SimulatedKernel) -> tuple[int, dict[int, int], int]:
+        """Count every response on every connection.
 
-        The request total is dealt out as evenly as possible (earlier shards
-        receive the remainder); every other parameter is inherited.
+        Keep-alive connections carry one Content-Length-framed response per
+        pipelined request, so responses are counted individually rather than
+        per connection.
         """
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        base, remainder = divmod(self.total_requests, shards)
-        return [
-            dataclasses.replace(self, total_requests=base + (1 if i < remainder else 0))
-            for i in range(shards)
-        ]
-
-    @property
-    def concurrent_clients(self) -> int:
-        """Total simultaneous client engines (engines x machines)."""
-        return self.client_engines * self.client_machines
+        completed = 0
+        statuses: dict[int, int] = {}
+        body_bytes = 0
+        for connection in kernel.network.connections:
+            raw = connection.response_bytes()
+            if not raw:
+                continue
+            for status, _, body in split_responses(raw):
+                completed += 1
+                statuses[status] = statuses.get(status, 0) + 1
+                body_bytes += len(body)
+        return completed, statuses, body_bytes
 
 
 #: The paper's unsaturated load: a single client machine running one engine.
@@ -172,25 +231,87 @@ class WorkloadMeasurement:
         return self.syscalls_total / self.requests_completed
 
 
-def _collect_responses(kernel: SimulatedKernel) -> tuple[int, dict[int, int], int]:
-    """Parse every connection's responses; returns (completed, statuses, bytes).
+def _measure(
+    workload: ClientWorkload,
+    kernel: SimulatedKernel,
+    configuration: str,
+    *,
+    syscalls_per_variant: list[int],
+    syscalls_total: int,
+    per_variant_calls: int,
+    alarms: int,
+    replicated_calls: int = 0,
+    monitor_checks: int = 0,
+) -> WorkloadMeasurement:
+    """Assemble the measurement record of one finished run on *kernel*."""
+    completed, statuses, body_bytes = workload.collect(kernel)
+    breakdown = kernel.stats.syscall_breakdown
+    return WorkloadMeasurement(
+        configuration=configuration,
+        num_variants=len(syscalls_per_variant),
+        requests_sent=workload.total_requests,
+        requests_completed=completed,
+        status_counts=statuses,
+        response_bytes=body_bytes,
+        syscalls_total=syscalls_total,
+        syscalls_per_variant=syscalls_per_variant,
+        bytes_read=kernel.stats.bytes_read,
+        bytes_written=kernel.stats.bytes_written,
+        replicated_calls=replicated_calls,
+        per_variant_calls=per_variant_calls,
+        monitor_checks=monitor_checks,
+        detection_calls=sum(breakdown.get(call.value, 0) for call in DETECTION_SYSCALLS),
+        alarms=alarms,
+        concurrent_clients=workload.concurrent_clients,
+    )
 
-    Keep-alive connections carry one Content-Length-framed response per
-    pipelined request, so responses are counted individually rather than per
-    connection.
+
+def _load(workload: ClientWorkload, kernel: Optional[SimulatedKernel]) -> SimulatedKernel:
+    """Queue every conversation of *workload* on *kernel* (default: a fresh app host)."""
+    app = get_app(workload.app)
+    if kernel is None:
+        kernel = build_standard_host()
+        app.prepare_host(kernel)
+    for index, payload in enumerate(workload.connection_payloads()):
+        app.connect(kernel, payload, client=f"client-{index}")
+    return kernel
+
+
+def serve_standalone(
+    workload: ClientWorkload,
+    server: type,
+    runner: type,
+    *,
+    transformed: bool,
+    multiplex: int,
+    kernel: Optional[SimulatedKernel],
+    configuration: str,
+) -> WorkloadMeasurement:
+    """Run *workload* against one unmonitored *server* process under *runner*.
+
+    The per-app ``drive_standalone`` functions pass their server class and
+    the ``ProgramRunner`` their module binds.
     """
-    completed = 0
-    statuses: dict[int, int] = {}
-    body_bytes = 0
-    for connection in kernel.network.connections:
-        raw = connection.response_bytes()
-        if not raw:
-            continue
-        for status, _, body in split_responses(raw):
-            completed += 1
-            statuses[status] = statuses.get(status, 0) + 1
-            body_bytes += len(body)
-    return completed, statuses, body_bytes
+    kernel = _load(workload, kernel)
+    process = kernel.spawn_process(workload.app)
+    program = server(
+        Libc(),
+        UIDCodec.identity(),
+        process.address_space,
+        transformed=transformed,
+        max_requests=workload.total_requests,
+        multiplex=multiplex,
+    )
+    run_result = runner(kernel).run(process, program.run())
+    return _measure(
+        workload,
+        kernel,
+        configuration,
+        syscalls_per_variant=[process.stats.syscall_count],
+        syscalls_total=kernel.stats.syscall_count,
+        per_variant_calls=kernel.stats.syscall_count,
+        alarms=0 if run_result.exited_normally else 1,
+    )
 
 
 def drive_standalone(
@@ -201,107 +322,63 @@ def drive_standalone(
     kernel: Optional[SimulatedKernel] = None,
     configuration: str = "standalone",
 ) -> WorkloadMeasurement:
-    """Run the workload against a single (non-redundant) server process.
+    """Run the workload against a single (non-redundant) httpd process.
 
     ``transformed=False`` reproduces Configuration 1 of Table 3 (unmodified
     Apache on the N-variant-capable kernel); ``transformed=True`` reproduces
     Configuration 2 (the UID-transformed server running as a single process).
     """
-    kernel = kernel if kernel is not None else build_standard_host()
-    for payload in workload.connection_payloads():
-        kernel.client_connect(HTTP_PORT, payload)
-
-    process = kernel.spawn_process("httpd")
-    server = MiniHttpd(
-        Libc(),
-        UIDCodec.identity(),
-        process.address_space,
+    return serve_standalone(
+        workload,
+        MiniHttpd,
+        ProgramRunner,
         transformed=transformed,
-        max_requests=workload.total_requests,
         multiplex=multiplex,
-    )
-    runner = ProgramRunner(kernel)
-    run_result = runner.run(process, server.run())
-
-    completed, statuses, body_bytes = _collect_responses(kernel)
-    detection_calls = sum(
-        kernel.stats.syscall_breakdown.get(name, 0)
-        for name in ("uid_value", "cond_chk", "cc_eq", "cc_neq", "cc_lt", "cc_leq", "cc_gt", "cc_geq")
-    )
-    return WorkloadMeasurement(
+        kernel=kernel,
         configuration=configuration,
-        num_variants=1,
-        requests_sent=workload.total_requests,
-        requests_completed=completed,
-        status_counts=statuses,
-        response_bytes=body_bytes,
-        syscalls_total=kernel.stats.syscall_count,
-        syscalls_per_variant=[process.stats.syscall_count],
-        bytes_read=kernel.stats.bytes_read,
-        bytes_written=kernel.stats.bytes_written,
-        replicated_calls=0,
-        per_variant_calls=kernel.stats.syscall_count,
-        monitor_checks=0,
-        detection_calls=detection_calls,
-        alarms=0 if run_result.exited_normally else 1,
-        concurrent_clients=workload.concurrent_clients,
     )
 
 
-def _prepare_nvariant_session(
-    workload: WebBenchWorkload,
+def _session(
+    workload: ClientWorkload,
     spec: SystemSpec,
     *,
-    multiplex: int = 1,
+    multiplex: int,
     kernel: Optional[SimulatedKernel] = None,
-    name: str = "httpd",
-) -> tuple[SimulatedKernel, NVariantSession]:
+    name: Optional[str] = None,
+) -> NVariantSession:
     """Load the workload onto a (fresh) host and build the server session."""
-    kernel = kernel if kernel is not None else build_standard_host()
-    for payload in workload.connection_payloads():
-        kernel.client_connect(HTTP_PORT, payload)
-    factory = make_httpd_factory(
-        transformed=spec.transformed,
+    return build_serving_session(
+        spec,
+        workload.app,
+        kernel=_load(workload, kernel),
+        name=workload.app if name is None else name,
         max_requests=workload.total_requests,
         multiplex=multiplex,
     )
-    return kernel, build_session(spec, kernel, factory, name=name)
 
 
-def _nvariant_measurement(
-    kernel: SimulatedKernel,
-    workload: WebBenchWorkload,
-    spec: SystemSpec,
-    result: NVariantResult,
-) -> WorkloadMeasurement:
-    """Assemble the measurement record for one finished N-variant run."""
-    completed, statuses, body_bytes = _collect_responses(kernel)
-    detection_calls = sum(
-        kernel.stats.syscall_breakdown.get(name, 0)
-        for name in ("uid_value", "cond_chk", "cc_eq", "cc_neq", "cc_lt", "cc_leq", "cc_gt", "cc_geq")
-    )
-    return WorkloadMeasurement(
-        configuration=spec.name,
-        num_variants=spec.num_variants,
-        requests_sent=workload.total_requests,
-        requests_completed=completed,
-        status_counts=statuses,
-        response_bytes=body_bytes,
-        syscalls_total=sum(v.syscall_count for v in result.variants),
-        syscalls_per_variant=[v.syscall_count for v in result.variants],
-        bytes_read=kernel.stats.bytes_read,
-        bytes_written=kernel.stats.bytes_written,
-        replicated_calls=result.wrapper_stats.replicated_calls,
+def _measure_session(
+    workload: ClientWorkload, session: NVariantSession, result: NVariantResult
+) -> tuple[WorkloadMeasurement, NVariantResult]:
+    """Measure one finished serving session; labelled with its spec's name."""
+    syscalls = [variant.syscall_count for variant in result.variants]
+    measurement = _measure(
+        workload,
+        session.kernel,
+        session.spec.name,
+        syscalls_per_variant=syscalls,
+        syscalls_total=sum(syscalls),
         per_variant_calls=result.wrapper_stats.per_variant_calls,
-        monitor_checks=result.monitor.stats.syscalls_compared,
-        detection_calls=detection_calls,
         alarms=len(result.alarms),
-        concurrent_clients=workload.concurrent_clients,
+        replicated_calls=result.wrapper_stats.replicated_calls,
+        monitor_checks=result.monitor.stats.syscalls_compared,
     )
+    return measurement, result
 
 
 def drive_nvariant(
-    workload: WebBenchWorkload,
+    workload: ClientWorkload,
     spec: SystemSpec,
     *,
     multiplex: int = 1,
@@ -313,15 +390,12 @@ def drive_nvariant(
     ``ADDRESS_UID_SPEC`` reproduces Configuration 4.  The spec's ``name`` is
     the measurement's configuration label.
     """
-    kernel, session = _prepare_nvariant_session(
-        workload, spec, multiplex=multiplex, kernel=kernel
-    )
-    result = session.run()
-    return _nvariant_measurement(kernel, workload, spec, result), result
+    session = _session(workload, spec, multiplex=multiplex, kernel=kernel)
+    return _measure_session(workload, session, session.run())
 
 
 def drive_nvariant_many(
-    jobs: Sequence[tuple[WebBenchWorkload, SystemSpec]],
+    jobs: Sequence[tuple[ClientWorkload, SystemSpec]],
     *,
     multiplex: int = 1,
 ) -> list[tuple[WorkloadMeasurement, NVariantResult]]:
@@ -333,18 +407,14 @@ def drive_nvariant_many(
     the ablations) use this to sweep their configurations through the engine
     in one pass instead of looping serially.
     """
-    kernels: list[SimulatedKernel] = []
-    sessions: list[NVariantSession] = []
-    for index, (workload, spec) in enumerate(jobs):
-        kernel, session = _prepare_nvariant_session(
-            workload, spec, multiplex=multiplex, name=f"many-{index}-{spec.name}"
-        )
-        kernels.append(kernel)
-        sessions.append(session)
+    sessions = [
+        _session(workload, spec, multiplex=multiplex, name=f"many-{index}-{spec.name}")
+        for index, (workload, spec) in enumerate(jobs)
+    ]
     results = MultiSessionEngine(sessions, name="nvariant-many").run().values()
     return [
-        (_nvariant_measurement(kernel, workload, spec, result), result)
-        for (workload, spec), kernel, result in zip(jobs, kernels, results)
+        _measure_session(workload, session, result)
+        for (workload, _), session, result in zip(jobs, sessions, results)
     ]
 
 
@@ -412,44 +482,31 @@ class EngineWorkloadMeasurement:
 
 
 def drive_engine(
-    fleet: FleetSpec, *, workload: Optional[WebBenchWorkload] = None
+    fleet: FleetSpec, *, workload: Optional[ClientWorkload] = None
 ) -> EngineWorkloadMeasurement:
     """Drive the fleet a :class:`~repro.api.spec.FleetSpec` describes.
 
     The fleet's workload shape is expanded into a WebBench workload and split
     over ``fleet.num_sessions`` concurrent N-variant replicas, each running
-    the full mini-httpd on its own simulated host (a sharded fleet behind a
+    the full server on its own simulated host (a sharded fleet behind a
     load balancer) with lockstep rounds interleaved by the cooperative
     scheduler.  Sessions are built fresh from ``fleet.system`` per shard, so
     no per-host state is shared.  Pass *workload* to override the expanded
-    request sequence (e.g. a custom mix) while keeping the fleet shape.
+    request sequence (a custom mix, or another app's workload) while keeping
+    the fleet shape.
     """
     if workload is None:
         workload = WebBenchWorkload(**fleet.workload.to_dict())
-    shards = workload.split(fleet.num_sessions)
-    kernels: list[SimulatedKernel] = []
-    sessions: list[NVariantSession] = []
-    for index, shard in enumerate(shards):
-        kernel = build_standard_host()
-        for payload in shard.connection_payloads():
-            kernel.client_connect(HTTP_PORT, payload)
-        kernels.append(kernel)
-        factory = make_httpd_factory(
-            transformed=fleet.system.transformed,
-            max_requests=shard.total_requests,
-            multiplex=fleet.multiplex,
-        )
-        sessions.append(
-            build_session(fleet.system, kernel, factory, name=f"{fleet.name}-s{index}")
-        )
-
-    engine = build_engine(fleet, sessions)
-    engine_result = engine.run()
+    sessions = [
+        _session(shard, fleet.system, multiplex=fleet.multiplex, name=f"{fleet.name}-s{index}")
+        for index, shard in enumerate(workload.split(fleet.num_sessions))
+    ]
+    engine_result = build_engine(fleet, sessions).run()
 
     completed = 0
     statuses: dict[int, int] = {}
-    for kernel in kernels:
-        shard_completed, shard_statuses, _ = _collect_responses(kernel)
+    for session in sessions:
+        shard_completed, shard_statuses, _ = workload.collect(session.kernel)
         completed += shard_completed
         for status, count in shard_statuses.items():
             statuses[status] = statuses.get(status, 0) + count

@@ -1,10 +1,16 @@
-"""Attack library: payload builders and spec-based attack drivers.
+"""Attack library: payload builders and spec-driven attack drivers.
 
-Campaigns (attacks x system specs) run through
-:func:`repro.api.campaign.run_campaign`; the legacy ``CampaignConfiguration``
-/ ``run_uid_campaign`` / ``run_address_campaign`` shims were removed after
-their one-release deprecation window.  :class:`~repro.api.campaign.CampaignReport`
-stays importable from here for report-consuming callers.
+Each attack family has one driver that takes any
+:class:`~repro.api.spec.SystemSpec`, the undefended ``num_variants=1``
+single-process spec included: :func:`~repro.attacks.uid_attacks.prepare_remote_attack`
+and :func:`~repro.attacks.uid_attacks.prepare_corruption_attack` for UID
+corruption, :func:`~repro.attacks.memory_attacks.prepare_address_attack` for
+address injection.  Run one cell with
+``repro.api.campaign.run_attack(attack, spec)`` (``prepare_attack`` picks
+the driver), or a cross product with
+:func:`repro.api.campaign.run_campaign`.
+:class:`~repro.api.campaign.CampaignReport` stays importable from here for
+report-consuming callers.
 """
 
 from repro.api.campaign import CampaignReport
@@ -16,8 +22,7 @@ from repro.attacks.code_injection import (
 from repro.attacks.memory_attacks import (
     AddressInjectionAttack,
     INJECTED_ABSOLUTE_ADDRESS,
-    run_address_attack_nvariant,
-    run_address_attack_single,
+    prepare_address_attack,
     standard_address_attacks,
 )
 from repro.attacks.outcomes import AttackOutcome, OutcomeKind, classify
@@ -27,17 +32,13 @@ from repro.attacks.payloads import (
     banner_pointer_payload,
     benign_request,
     traversal_path,
-    uid_and_gid_overwrite_payload,
     uid_overwrite_payload,
 )
 from repro.attacks.uid_attacks import (
     SHADOW_MARKER,
     UIDAttack,
-    run_corruption_attack_nvariant,
-    run_corruption_attack_single,
-    run_remote_attack_nvariant,
-    run_remote_attack_single,
-    run_uid_attack,
+    prepare_corruption_attack,
+    prepare_remote_attack,
     standard_uid_attacks,
 )
 
@@ -55,18 +56,13 @@ __all__ = [
     "banner_pointer_payload",
     "benign_request",
     "classify",
-    "run_address_attack_nvariant",
-    "run_address_attack_single",
+    "prepare_address_attack",
+    "prepare_corruption_attack",
+    "prepare_remote_attack",
     "run_code_injection_tagged",
     "run_code_injection_untagged",
-    "run_corruption_attack_nvariant",
-    "run_corruption_attack_single",
-    "run_remote_attack_nvariant",
-    "run_remote_attack_single",
-    "run_uid_attack",
     "standard_address_attacks",
     "standard_uid_attacks",
     "traversal_path",
-    "uid_and_gid_overwrite_payload",
     "uid_overwrite_payload",
 ]

@@ -7,6 +7,8 @@ import enum
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.spec import SystemSpec
+    from repro.core.nvariant import NVariantResult
     from repro.engine.session import NVariantSession
 
 
@@ -89,3 +91,31 @@ def classify(*, goal_reached: bool, detected: bool, crashed: bool = False) -> Ou
     if crashed:
         return OutcomeKind.CRASHED
     return OutcomeKind.NO_EFFECT
+
+
+def judge(
+    attack: str,
+    spec: "SystemSpec",
+    result: "NVariantResult",
+    *,
+    goal_reached: bool,
+    detail: str,
+) -> AttackOutcome:
+    """Judge one finished attack cell against the system it ran on.
+
+    Only a redundant system detects.  At N=1 a trapping variant still
+    records a ``VARIANT_FAULT`` alarm, but with no sibling to compare
+    against that is the undefended service crashing, not the monitor
+    catching the attack.  *detail* describes an outcome with no alarm to
+    report.
+    """
+    detected = spec.redundant and result.attack_detected
+    crashed = not spec.redundant and not all(v.exited_normally for v in result.variants)
+    return AttackOutcome(
+        attack=attack,
+        configuration=spec.name,
+        kind=classify(goal_reached=goal_reached, detected=detected, crashed=crashed),
+        goal_reached=goal_reached,
+        detected=detected,
+        detail=result.first_alarm().describe() if detected else detail,
+    )

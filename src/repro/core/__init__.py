@@ -24,7 +24,6 @@ from repro.core.detection_calls import (
     COMPARISON_TO_CALL,
     DetectionCallSpec,
     TABLE2_DETECTION_CALLS,
-    spec_for,
 )
 from repro.core.monitor import Monitor, MonitorStats
 from repro.core.nvariant import (
@@ -44,9 +43,7 @@ from repro.core.pipeline import (
     vulnerable_app_interpreter,
 )
 from repro.core.properties import (
-    DetectionVerdict,
     EquivalenceVerdict,
-    check_detection,
     check_normal_equivalence,
     check_variation_reexpression,
 )
@@ -84,7 +81,6 @@ __all__ = [
     "COMPARISON_TO_CALL",
     "DataDiversityPipeline",
     "DetectionCallSpec",
-    "DetectionVerdict",
     "DivergenceDetected",
     "EquivalenceVerdict",
     "ExtendedAddressPartitioning",
@@ -111,7 +107,6 @@ __all__ = [
     "Variation",
     "VariationStack",
     "WrapperStats",
-    "check_detection",
     "check_disjointness",
     "check_inverse_property",
     "check_normal_equivalence",
@@ -122,7 +117,6 @@ __all__ = [
     "nvexec",
     "offset_reexpression",
     "sample_domain",
-    "spec_for",
     "vulnerable_app_interpreter",
     "xor_reexpression",
 ]

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.api.campaign import prepare_attack
 from repro.api.spec import SystemSpec
-from repro.attacks.memory_attacks import AddressInjectionAttack, prepare_address_attack
+from repro.attacks.memory_attacks import AddressInjectionAttack
 from repro.attacks.mutators import PartialPointerAttack, annotation_overflow_payload
 from repro.attacks.outcomes import AttackOutcome, PreparedAttack
 from repro.attacks.payloads import uid_overwrite_payload
-from repro.attacks.uid_attacks import UIDAttack, prepare_uid_attack
+from repro.attacks.uid_attacks import UIDAttack
 from repro.corpus.records import CorpusError, CorpusRecord
 from repro.engine.scheduler import CampaignJob, run_jobs
 from repro.engine.procpool import ProcessJob, ProcessWorkerPool, run_process_jobs
@@ -76,11 +77,7 @@ def build_attack(data: Mapping[str, Any]):
 
 def prepare_record(record: CorpusRecord) -> PreparedAttack:
     """Build the runnable attack-x-configuration cell a record describes."""
-    spec = SystemSpec.from_dict(dict(record.spec))
-    attack = build_attack(record.attack)
-    if isinstance(attack, AddressInjectionAttack):
-        return prepare_address_attack(attack, spec)
-    return prepare_uid_attack(attack, spec)
+    return prepare_attack(build_attack(record.attack), SystemSpec.from_dict(dict(record.spec)))
 
 
 def outcome_to_dict(outcome: AttackOutcome) -> dict[str, Any]:

@@ -34,11 +34,6 @@ class ProcessStats:
     syscall_count: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    compute_units: float = 0.0
-
-    def charge_compute(self, units: float) -> None:
-        """Add *units* of CPU work performed by this process."""
-        self.compute_units += units
 
 
 class Process:

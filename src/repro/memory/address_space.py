@@ -149,13 +149,6 @@ class AddressSpace:
                 return region
         raise SegmentationFault(f"unmapped address 0x{address:08x}", address=address)
 
-    def find_region(self, name: str) -> MemoryRegion:
-        """Find a mapped region by name (raises ``KeyError`` if absent)."""
-        for region in self.regions:
-            if region.name == name:
-                return region
-        raise KeyError(name)
-
     # -- access ------------------------------------------------------------------
 
     def load_bytes(self, address: int, count: int) -> bytes:

@@ -110,6 +110,12 @@ class TestSpecRoundTrip:
         with pytest.raises(TypeError):
             VariationSpec("uid", params={"mask": [1, 2]})  # non-scalar parameter
 
+    def test_fleet_rejects_more_sessions_than_requests(self):
+        """An idle shard would still run its server and inflate the speedup."""
+        with pytest.raises(ValueError, match="num_sessions"):
+            FleetSpec(num_sessions=4, workload=WorkloadSpec(total_requests=2))
+        assert FleetSpec(num_sessions=2, workload=WorkloadSpec(total_requests=2)).num_sessions == 2
+
 
 class TestRegistry:
     def test_unknown_variation_name(self):
@@ -296,6 +302,22 @@ class TestCLI:
         assert payload["requests_completed"] == 8
         assert payload["alarms"] == 0
         assert payload["speedup"] > 1.0
+
+    def test_throughput_scenario_with_idle_shards_is_a_clean_error(self, tmp_path, capsys):
+        path = self._write_scenario(
+            tmp_path,
+            {
+                "scenario": "throughput",
+                "fleet": {"num_sessions": 4, "workload": {"total_requests": 2}},
+            },
+        )
+        assert cli_main(["run", str(path)]) == 2
+        assert "num_sessions" in capsys.readouterr().err
+
+    def test_variations_command_lists_every_registered_variation(self, capsys):
+        assert cli_main(["variations"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == registry.names()
 
     def test_campaign_scenario_selects_the_serving_app(self, tmp_path, capsys):
         path = self._write_scenario(
